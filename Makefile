@@ -11,7 +11,7 @@ BENCH_MAX_REGRESS ?= 0
 BENCH_REGRESS_METRIC ?= trials_per_sec
 # Batch geometry of the engine benchmarks: trials per wire frame and
 # batches in flight. Empty uses the in-tree defaults (256/4); 0 turns
-# batching off and benches the classic per-trial protocol.
+# batching off (the cluster then runs one trial per wire batch).
 BENCH_BATCH ?=
 BENCH_WINDOW ?=
 # Per-benchmark time budget passed to `go test -benchtime`, e.g. 2s or

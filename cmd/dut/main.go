@@ -301,7 +301,7 @@ func cmdNetDemo(args []string) int {
 		minVotes = fs.Int("minvotes", 0, "quorum: tolerate stragglers down to this many votes (0 = strict)")
 		crash    = fs.Int("crash", 0, "chaos: crash this many nodes at their first vote")
 		delay    = fs.Duration("delay", 0, "chaos: per-frame write delay injected on one node")
-		batch    = fs.Int("batch", 0, "trials per ROUND_BATCH wire frame (0 = classic one-frame-per-round protocol)")
+		batch    = fs.Int("batch", 0, "trials per ROUND_BATCH wire frame (0 = one trial per frame)")
 		window   = fs.Int("window", 1, "batches kept in flight per session (needs -batch)")
 		shards   = fs.Int("shards", 0, "L1 aggregator shards between players and root (0 or 1 = flat star)")
 		aggs     = fs.Int("aggregators", 0, "alias for -shards: number of L1 aggregators in the referee tree")
@@ -486,20 +486,12 @@ func cmdNetDemo(args []string) int {
 		fmt.Printf("batched wire protocol: %d trials per frame, %d batches in flight\n", *batch, *window)
 	}
 	start := time.Now()
-	// One session regardless of the round count: both paths route the
-	// rounds through the unified engine driver, so a 1-round demo and a
-	// full amplification session exercise the same path. With -batch the
-	// engine drives the cluster backend's pipelined batch session
-	// (ROUND_BATCH/VOTE_BATCH/VERDICT_BATCH frames) instead of the
-	// classic one-frame-per-round session.
+	// One session regardless of the round count: the engine driver runs
+	// every round on the cluster backend's pipelined batch session, so a
+	// 1-round demo and a full amplification session exercise the same
+	// path; -batch 0 runs each round as a batch of one.
 	var accept bool
-	var verdicts []bool
-	var allStats []network.RoundStats
-	if *batch > 0 {
-		verdicts, allStats, err = runBatchedDemo(cluster, sampler, rng, *rounds, *batch, *window)
-	} else {
-		verdicts, allStats, err = cluster.RunManyStats(context.Background(), sampler, rng, *rounds)
-	}
+	verdicts, allStats, err := runDemo(cluster, sampler, rng, *rounds, *batch, *window)
 	if err == nil {
 		accept, err = network.MajorityVerdict(verdicts)
 	}
@@ -534,10 +526,9 @@ func cmdNetDemo(args []string) int {
 	return 0
 }
 
-// runBatchedDemo drives the cluster through the engine's batched trial
-// driver and maps the per-trial results back to the RoundStats shape the
-// demo prints.
-func runBatchedDemo(cluster *network.Cluster, sampler dist.Sampler, rng *rand.Rand, rounds, batch, window int) ([]bool, []network.RoundStats, error) {
+// runDemo drives the cluster through the engine's trial driver and maps
+// the per-trial results back to the RoundStats shape the demo prints.
+func runDemo(cluster *network.Cluster, sampler dist.Sampler, rng *rand.Rand, rounds, batch, window int) ([]bool, []network.RoundStats, error) {
 	backend, err := network.NewBackend(cluster)
 	if err != nil {
 		return nil, nil, err

@@ -234,8 +234,9 @@ var (
 // Networked deployment.
 var (
 	// NewCluster runs a protocol as a referee server plus player nodes.
-	// Cluster.Run executes one round; Cluster.RunMany keeps the
-	// connections open for a multi-round amplification session. With
+	// Cluster.Run executes one round on a session of its own;
+	// Cluster.RunMany keeps one session's connections open for a
+	// multi-round amplification session. With
 	// ClusterConfig.MinVotes set the cluster tolerates stragglers down to
 	// the quorum (see RunStats/RunManyStats for the per-round accounting).
 	NewCluster = network.NewCluster

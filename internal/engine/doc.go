@@ -64,7 +64,8 @@
 // The pre-engine entry points survive as thin wrappers and keep their
 // seed-test semantics: core.EstimateAcceptance, core.Separates and
 // core.Amplify delegate here via core.BackendFor, and
-// network.Cluster.RunMany/RunManyStats drive their multi-round session
-// through this driver with a single worker. New code should construct a
+// network.Cluster.RunMany/RunManyStats drive their session through
+// this driver with a single worker and one trial per wire batch. New
+// code should construct a
 // Backend and call the engine (or dut.NewEngine) directly.
 package engine

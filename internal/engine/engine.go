@@ -17,8 +17,7 @@ import (
 // RoundSpec names one trial for a Backend: the trial index, the engine's
 // base seed (backends derive the round's public coin via SharedSeed and
 // per-player streams via NodeRNG), and the sampler for the unknown
-// distribution. Backends whose samplers are fixed at construction time
-// (e.g. a running cluster session) may ignore Sampler.
+// distribution.
 type RoundSpec struct {
 	// Trial is the 0-based trial index within the driver run.
 	Trial int
@@ -61,21 +60,12 @@ type RoundResult struct {
 // randomness from the RoundSpec-derived streams (SharedSeed / NodeRNG /
 // TrialRNG), so that equal seeds give equal verdicts regardless of which
 // backend runs the round or how many workers drive it. RunRound must be
-// safe for concurrent use unless the backend also implements
-// WorkerLimiter.
+// safe for concurrent use.
 type Backend interface {
 	// RunRound executes one round and reports its accounting.
 	RunRound(ctx context.Context, spec RoundSpec) (RoundResult, error)
 	// Players returns the protocol's player count k.
 	Players() int
-}
-
-// WorkerLimiter is an optional Backend interface bounding driver
-// concurrency. A backend serialized over shared state (e.g. one open
-// multi-round network session) returns 1 and receives trials in order.
-type WorkerLimiter interface {
-	// MaxWorkers returns the largest worker count the backend tolerates.
-	MaxWorkers() int
 }
 
 // ScratchBackend is the optional zero-allocation extension of Backend:
@@ -266,11 +256,6 @@ func Run(ctx context.Context, b Backend, src Source, trials int, opts Options) (
 	}
 	if nChunks := (trials + chunk - 1) / chunk; workers > nChunks {
 		workers = nChunks
-	}
-	if lim, ok := b.(WorkerLimiter); ok {
-		if m := lim.MaxWorkers(); m >= 1 && workers > m {
-			workers = m
-		}
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)

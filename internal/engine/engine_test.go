@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -16,32 +15,14 @@ import (
 // its verdicts are a pure function of (seed, trial) and any scheduling
 // nondeterminism in the driver would show up as verdict flips.
 type fakeBackend struct {
-	players  int
-	failAt   int // trial index that errors; -1 disables
-	ran      atomic.Int64
-	maxConc  atomic.Int64
-	curConc  atomic.Int64
-	limit    int // MaxWorkers when > 0
-	mu       sync.Mutex
-	sequence []int // order trials were started in
+	players int
+	failAt  int // trial index that errors; -1 disables
+	ran     atomic.Int64
 }
 
 func (b *fakeBackend) Players() int { return b.players }
 
-func (b *fakeBackend) MaxWorkers() int { return b.limit }
-
 func (b *fakeBackend) RunRound(ctx context.Context, spec RoundSpec) (RoundResult, error) {
-	cur := b.curConc.Add(1)
-	defer b.curConc.Add(-1)
-	for {
-		old := b.maxConc.Load()
-		if cur <= old || b.maxConc.CompareAndSwap(old, cur) {
-			break
-		}
-	}
-	b.mu.Lock()
-	b.sequence = append(b.sequence, spec.Trial)
-	b.mu.Unlock()
 	if err := ctx.Err(); err != nil {
 		return RoundResult{}, err
 	}
@@ -140,26 +121,6 @@ func TestRunReportsLowestIndexedError(t *testing.T) {
 	}
 	if errors.Is(err, context.Canceled) {
 		t.Fatalf("cancellation masked the root cause: %v", err)
-	}
-}
-
-func TestRunRespectsWorkerLimiter(t *testing.T) {
-	b := &fakeBackend{players: 1, failAt: -1, limit: 1}
-	results, err := Run(context.Background(), b, uniformSource(t, 4), 20, Options{Workers: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := b.maxConc.Load(); got != 1 {
-		t.Fatalf("observed concurrency %d with MaxWorkers()=1", got)
-	}
-	// A single worker consumes the jobs channel in feed order.
-	for i, trial := range b.sequence {
-		if trial != i {
-			t.Fatalf("serialized run started trial %d at position %d", trial, i)
-		}
-	}
-	if len(results) != 20 {
-		t.Fatalf("got %d results", len(results))
 	}
 }
 

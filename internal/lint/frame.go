@@ -39,8 +39,7 @@ var (
 		"ReadFrame": true, "readFrame": true, "expectFrame": true,
 	}
 	frameWriteCalls = map[string]bool{
-		"WriteHello": true, "WriteRound": true, "WriteVote": true,
-		"WriteVerdict": true, "WriteFinish": true, "writeFrame": true,
+		"WriteHello": true, "WriteFinish": true, "writeFrame": true,
 		"WriteRoundBatch": true, "WriteVoteBatch": true, "WriteVerdictBatch": true,
 		"WriteVoteBatchR": true,
 		// The referee tree's aggregator frames: handshake, reduced sums,

@@ -201,94 +201,38 @@ func (a *aggregator) setup(ctx context.Context, rootAddr net.Addr) error {
 		return err
 	}
 	a.slots = slots
-	for _, slot := range slots {
-		if slot == nil {
-			continue
-		}
-		//lint:ignore dut/ctxprop the writer drains until its frame queue closes (closeMembers always closes it); cancellation reaches it through failSlot closing the conn
-		go a.bs.slotWriter(slot)
-	}
+	a.bs.startWriters(slots)
 	return a.connectRoot(rootAddr, present)
 }
 
-// acceptMembers accepts the shard's players, mirroring the root's
-// acceptPlayers: strict mode blocks until every member registered,
-// quorum mode bounds the phase with an accept deadline and takes
-// whoever made it (the root checks the global quorum against the
-// summed present-counts, so a partial shard is not an error here).
-//
-//dut:coldpath once-per-session member accept and handshake validation
+// acceptMembers accepts the shard's players into slots by shard
+// position, with the root's accept phase: strict mode waits for every
+// member, quorum mode takes whoever made the accept deadline (the root
+// checks the global quorum against the summed present-counts, so a
+// partial shard is not an error here).
 func (a *aggregator) acceptMembers(ctx context.Context) ([]*batchSlot, uint32, error) {
-	s := a.bs.server
-	if !s.strict() {
-		dl, ok := a.listener.(acceptDeadliner)
-		if !ok {
-			return nil, 0, fmt.Errorf("network: quorum mode needs a listener with accept deadlines (have %T)", a.listener)
-		}
-		//lint:ignore dut/nondeterminism net deadlines need an absolute instant; bounds the accept wait, never the verdict
-		_ = dl.SetDeadline(time.Now().Add(s.timeout))
-		defer func() { _ = dl.SetDeadline(time.Time{}) }()
+	slots, present, err := a.bs.server.acceptSlots(ctx, a.listener, a.bs.tracker, len(a.members), a.placeMember)
+	if err != nil {
+		return nil, 0, fmt.Errorf("network: aggregator %d: %w", a.id, err)
 	}
-	slots := make([]*batchSlot, len(a.members))
-	var present uint32
-	for int(present) < len(a.members) {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		conn, err := a.listener.Accept()
-		if err != nil {
-			if !s.strict() && errors.Is(err, os.ErrDeadlineExceeded) {
-				return slots, present, nil
-			}
-			return nil, 0, fmt.Errorf("network: aggregator %d accept: %w", a.id, err)
-		}
-		a.bs.track(conn)
-		setDeadline(conn, s.timeout)
-		hello, err := expectFrame[Hello](conn, FrameHello)
-		if err != nil {
-			if s.strict() {
-				return nil, 0, fmt.Errorf("network: aggregator %d hello: %w", a.id, err)
-			}
-			_ = conn.Close()
-			continue
-		}
-		if err := a.validateMember(hello, slots); err != nil {
-			if s.strict() {
-				return nil, 0, err
-			}
-			_ = conn.Close()
-			continue
-		}
-		pos := a.position(hello.Player)
-		slots[pos] = &batchSlot{
-			sl:         &playerSlot{conn: conn, player: hello.Player, bits: hello.Bits},
-			q:          newFrameQueue(),
-			writerDone: make(chan struct{}),
-		}
-		present++
-	}
-	return slots, present, nil
+	return slots, uint32(present), nil
 }
 
-// validateMember is validateHello against the shard: the player must be
-// one of the aggregator's assigned members, announced once, with the
-// pinned message width.
-func (a *aggregator) validateMember(h Hello, slots []*batchSlot) error {
-	if h.Bits < 1 || h.Bits > 64 {
-		return fmt.Errorf("network: player %d announced %d message bits", h.Player, h.Bits)
-	}
-	if s := a.bs.server; s.bits != 0 && int(h.Bits) != s.bits {
-		return fmt.Errorf("network: player %d announced %d-bit messages but the referee's rule decides over %d-bit messages",
-			h.Player, h.Bits, s.bits)
+// placeMember validates one player's HELLO against the shard and
+// returns its shard position: the width must pass checkBits, and the
+// player must be one of the aggregator's members, announced once.
+func (a *aggregator) placeMember(h Hello, slots []*batchSlot) (int, error) {
+	if err := a.bs.server.checkBits(h); err != nil {
+		return 0, err
 	}
 	pos := a.position(h.Player)
 	if pos < 0 {
-		return fmt.Errorf("network: player %d dialed aggregator %d, which does not own it", h.Player, a.id)
+		return 0, fmt.Errorf("network: player %d dialed aggregator %d, which does not own it", h.Player, a.id)
 	}
 	if slots[pos] != nil {
-		return fmt.Errorf("network: duplicate player id %d", h.Player)
+		return 0, fmt.Errorf("network: duplicate player id %d", h.Player)
 	}
-	return nil
+	return pos, nil
 }
 
 // position is the player's index within the shard's ascending member
@@ -320,7 +264,7 @@ func (a *aggregator) connectRoot(addr net.Addr, present uint32) error {
 			lastErr = fmt.Errorf("network: aggregator %d dial: %w", a.id, err)
 			continue
 		}
-		a.bs.track(conn)
+		a.bs.tracker.track(conn)
 		setDeadline(conn, a.bs.server.timeout)
 		hello := AggHello{Agg: a.id, Bits: uint8(a.bs.msgBits), Present: present, Members: a.members}
 		if err := WriteAggHello(conn, hello); err != nil {
@@ -367,7 +311,7 @@ func (a *aggregator) readRoot() {
 				a.fail(fmt.Errorf("network: aggregator %d relay: %w", a.id, err))
 				return
 			}
-			a.broadcast(relay)
+			broadcast(a.slots, relay)
 			a.pending.push(aggBatch{id: m.Batch, count: len(m.Seeds)})
 		case AggVerdict:
 			if err := a.relayVerdict(m); err != nil {
@@ -376,8 +320,8 @@ func (a *aggregator) readRoot() {
 			}
 		case Finish:
 			a.relay = AppendFinish(a.relay[:0])
-			a.broadcast(a.relay)
-			a.closeQueues()
+			broadcast(a.slots, a.relay)
+			closeQueues(a.slots)
 			return
 		default:
 			a.fail(fmt.Errorf("network: aggregator %d got unexpected %v from the root", a.id, kind))
@@ -446,27 +390,8 @@ func (a *aggregator) relayVerdict(m AggVerdict) error {
 	if err != nil {
 		return fmt.Errorf("network: aggregator %d relay: %w", a.id, err)
 	}
-	a.broadcast(relay)
+	broadcast(a.slots, relay)
 	return nil
-}
-
-// broadcast queues one encoded frame to every live member.
-func (a *aggregator) broadcast(frame []byte) {
-	for _, slot := range a.slots {
-		if slot == nil || slot.isDead() {
-			continue
-		}
-		slot.q.push(frame)
-	}
-}
-
-func (a *aggregator) closeQueues() {
-	for _, slot := range a.slots {
-		if slot == nil {
-			continue
-		}
-		slot.q.close()
-	}
 }
 
 // reduceLoop drains pending reductions in FIFO order until the reader
@@ -491,7 +416,7 @@ func (a *aggregator) reduceLoop() {
 func (a *aggregator) runBatch(b aggBatch) {
 	bs := a.bs
 	words := batchWords(b.count)
-	received := a.gather(b.id, b.count)
+	received := bs.gather(a.slots, a.deliv, b.id, b.count, a.failMember)
 	var err error
 	if bs.shapeOK || bs.sumOK {
 		planes := len(bs.planes)
@@ -541,73 +466,6 @@ func (a *aggregator) runBatch(b aggBatch) {
 	}
 }
 
-// gather collects one batch's votes from every live member, with
-// exactly the root gather's echo checks. Delivered plane sets land in
-// a.deliv by shard position (nil = absent); it returns the number of
-// valid deliveries.
-func (a *aggregator) gather(batchID uint32, count int) int {
-	bs := a.bs
-	for i := range a.deliv {
-		a.deliv[i] = nil
-	}
-	var wg sync.WaitGroup
-	for pos, slot := range a.slots {
-		if slot == nil || slot.isDead() {
-			continue
-		}
-		wg.Add(1)
-		//lint:ignore dut/hotalloc one reader goroutine per live member per batch, amortized across the batch's trials
-		go func(pos int, slot *batchSlot) {
-			defer wg.Done()
-			conn := slot.sl.conn
-			// The vote can lag the node's whole batch of sampling plus a
-			// queued verdict write; budget two timeouts.
-			setReadDeadline(conn, 2*bs.server.timeout)
-			var vb VoteBatchR
-			if bs.msgBits == 1 {
-				classic, err := expectFrame[VoteBatch](conn, FrameVoteBatch)
-				if err != nil {
-					a.failMember(slot, fmt.Errorf("network: vote batch from player %d: %w", slot.sl.player, err))
-					return
-				}
-				vb = VoteBatchR{Player: classic.Player, Batch: classic.Batch, Count: classic.Count, Bits: 1, Planes: classic.Bits}
-			} else {
-				wide, err := expectFrame[VoteBatchR](conn, FrameVoteBatchR)
-				if err != nil {
-					a.failMember(slot, fmt.Errorf("network: vote batch from player %d: %w", slot.sl.player, err))
-					return
-				}
-				vb = wide
-			}
-			if vb.Player != slot.sl.player {
-				a.failMember(slot, fmt.Errorf("network: vote batch claims player %d on player %d's connection", vb.Player, slot.sl.player))
-				return
-			}
-			if vb.Batch != batchID {
-				a.failMember(slot, fmt.Errorf("network: player %d answered batch %d, expected %d", slot.sl.player, vb.Batch, batchID))
-				return
-			}
-			if int(vb.Count) != count {
-				a.failMember(slot, fmt.Errorf("network: player %d voted on %d trials of batch %d, expected %d", slot.sl.player, vb.Count, batchID, count))
-				return
-			}
-			if int(vb.Bits) != bs.msgBits {
-				a.failMember(slot, fmt.Errorf("network: player %d sent %d-bit votes, the rule uses %d bits", slot.sl.player, vb.Bits, bs.msgBits))
-				return
-			}
-			a.deliv[pos] = vb.Planes
-		}(pos, slot)
-	}
-	wg.Wait()
-	received := 0
-	for _, d := range a.deliv {
-		if d != nil {
-			received++
-		}
-	}
-	return received
-}
-
 // failMember marks one member slot dead; in strict mode a member
 // failure dooms the session, exactly as it would on the flat star.
 func (a *aggregator) failMember(slot *batchSlot, err error) {
@@ -630,13 +488,13 @@ func (a *aggregator) fail(err error) {
 // closeMembers finishes the shard: queues close (pending frames still
 // drain), writers exit, connections close.
 func (a *aggregator) closeMembers() {
-	a.closeQueues()
+	closeQueues(a.slots)
 	for _, slot := range a.slots {
 		if slot == nil {
 			continue
 		}
 		<-slot.writerDone
-		_ = slot.sl.conn.Close()
+		_ = slot.conn.Close()
 	}
 }
 
@@ -730,15 +588,6 @@ func combineShardSums(acc, shard []uint64, planes, words int) bool {
 	return overflow != 0
 }
 
-// track registers a connection with the sharded session's tracker, so
-// context death force-closes it. Flat sessions have no tracker (their
-// session object owns that job).
-func (bs *batchSession) track(conn net.Conn) {
-	if bs.tracker != nil {
-		bs.tracker.track(conn)
-	}
-}
-
 // failAgg records an aggregator failure; in strict mode it also tears
 // the session down, like failNode.
 func (bs *batchSession) failAgg(err error) {
@@ -767,13 +616,9 @@ func (bs *batchSession) sharded() bool { return bs.aggs != nil }
 // root's AGG_HELLO accept phase.
 //
 //dut:coldpath once-per-session tree construction; shard planning, aggregator spawn and member dialing are amortized across every batch
-func (bs *batchSession) startSharded(ctx context.Context, rootListener net.Listener) error {
+func (bs *batchSession) startSharded(ctx context.Context) error {
 	c := bs.c
 	bs.shards = c.topo.Partition(c.k)
-	bs.votes = make([]core.Message, c.k)
-	bs.got = make([]bool, c.k)
-	bs.tracker = &connTracker{}
-	bs.trackStop = bs.tracker.watch(ctx)
 	nShards := len(bs.shards)
 	bs.shardSums = make([][]uint64, nShards)
 	bs.shardPresent = make([]uint32, nShards)
@@ -781,56 +626,29 @@ func (bs *batchSession) startSharded(ctx context.Context, rootListener net.Liste
 
 	addrByPlayer := make([]net.Addr, c.k)
 	bs.aggs = make([]*aggregator, nShards)
-	listeners := make([]net.Listener, nShards)
-	bs.aggListeners = listeners
-	go func() {
-		<-ctx.Done()
-		for _, l := range listeners {
-			if l != nil {
-				_ = l.Close()
-			}
-		}
-	}()
 	for i, members := range bs.shards {
 		l, err := c.tr.Listen()
 		if err != nil {
 			return fmt.Errorf("network: aggregator %d listen: %w", i, err)
 		}
-		listeners[i] = l
+		bs.tracker.track(l)
 		bs.aggs[i] = newAggregator(bs, uint32(i), members, l)
 		for _, p := range members {
 			addrByPlayer[p] = l.Addr()
 		}
 	}
 	for _, a := range bs.aggs {
-		go bs.runAggregator(ctx, a, rootListener.Addr())
+		go bs.runAggregator(ctx, a, bs.listener.Addr())
 	}
 	for _, node := range bs.nodes {
-		bs.nodeWG.Add(1)
-		//lint:ignore dut/ctxprop cancel() closes the listeners and tracked conns, which unwinds connect and runSessionConn; a ctx check here would race the same teardown
-		go func(node *PlayerNode, addr net.Addr) {
-			defer bs.nodeWG.Done()
-			conn, retries, err := node.connect(c.tr, addr)
-			bs.addRetries(retries)
-			if err != nil {
-				bs.failNode(err)
-				return
-			}
-			defer func() { _ = conn.Close() }()
-			if _, err := node.runSessionConn(conn, false); err != nil {
-				bs.failNode(err)
-			}
-		}(node, addrByPlayer[node.id])
+		bs.spawnNode(node, addrByPlayer[node.id])
 	}
-	slots, err := bs.acceptAggregators(ctx, rootListener)
+	slots, err := bs.acceptAggregators(ctx, bs.listener)
 	if err != nil {
 		return err
 	}
 	bs.slots = slots
-	for _, slot := range bs.slots {
-		//lint:ignore dut/ctxprop the writer drains until its frame queue closes (Close always closes it); cancellation reaches it through failSlot closing the conn
-		go bs.slotWriter(slot)
-	}
+	bs.startWriters(slots)
 	return nil
 }
 
@@ -871,7 +689,7 @@ func (bs *batchSession) acceptAggregators(ctx context.Context, l net.Listener) (
 			}
 			return nil, fmt.Errorf("network: accept: %w", err)
 		}
-		bs.track(conn)
+		bs.tracker.track(conn)
 		setDeadline(conn, s.timeout)
 		hello, err := expectFrame[AggHello](conn, FrameAggHello)
 		if err != nil {
@@ -890,11 +708,7 @@ func (bs *batchSession) acceptAggregators(ctx context.Context, l net.Listener) (
 		}
 		seen[hello.Agg] = true
 		present += int(hello.Present)
-		slots = append(slots, &batchSlot{
-			sl:         &playerSlot{conn: conn, player: hello.Agg, bits: hello.Bits},
-			q:          newFrameQueue(),
-			writerDone: make(chan struct{}),
-		})
+		slots = append(slots, newBatchSlot(conn, hello.Agg))
 	}
 	return slots, nil
 }
@@ -957,8 +771,8 @@ func (bs *batchSession) gatherShards(batchID uint32, count int) int {
 		//lint:ignore dut/hotalloc one reader goroutine per live member per batch, amortized across the batch's trials
 		go func(slot *batchSlot) {
 			defer wg.Done()
-			conn := slot.sl.conn
-			agg := slot.sl.player
+			conn := slot.conn
+			agg := slot.id
 			// The reduced frame waits on the aggregator's own member gather
 			// (itself budgeted two timeouts) plus the reduction; budget three.
 			setReadDeadline(conn, 3*bs.server.timeout)

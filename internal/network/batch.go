@@ -25,9 +25,10 @@ import (
 // transport's writes are fully synchronous (net.Pipe parks the writer
 // until the peer reads), so queueing the next batches' ROUND_BATCH
 // frames while earlier votes are still being gathered is exactly what
-// keeps a window of batches in flight. Determinism is untouched — every
-// vote derives from (shared seed, player id) exactly as unbatched, and
-// the referee's per-batch evaluation reproduces decideVotes bit for
+// keeps a window of batches in flight. Every cluster round runs here: a
+// single SMP round is a batch of one. Determinism is untouched — every
+// vote derives from (shared seed, player id) whatever the batch size,
+// and the referee's per-batch evaluation reproduces decideVotes bit for
 // bit (word-parallel when the referee has threshold shape, trial by
 // trial otherwise).
 
@@ -96,12 +97,13 @@ func (q *frameQueue) close() {
 	q.cond.Broadcast()
 }
 
-// batchSlot pairs a referee-side player slot with its writer queue and
-// its own failure state (playerSlot.dead is single-goroutine state of
-// the unbatched path; the batch session's writer, gatherers and
-// aggregator need a locked flag).
+// batchSlot is the referee side of one connection — a player at the
+// flat root or at an aggregator, an aggregator at the tree's root — with
+// its writer queue and its failure state. The writer, the gatherers and
+// the aggregator all touch the failure state, hence the lock.
 type batchSlot struct {
-	sl         *playerSlot
+	conn       net.Conn
+	id         uint32 // player id; aggregator id at the tree's root
 	q          *frameQueue
 	writerDone chan struct{}
 
@@ -110,10 +112,33 @@ type batchSlot struct {
 	err  error
 }
 
+func newBatchSlot(conn net.Conn, id uint32) *batchSlot {
+	return &batchSlot{conn: conn, id: id, q: newFrameQueue(), writerDone: make(chan struct{})}
+}
+
 func (b *batchSlot) isDead() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.dead
+}
+
+// broadcast queues one encoded frame to every live slot (nil = absent).
+func broadcast(slots []*batchSlot, frame []byte) {
+	for _, slot := range slots {
+		if slot == nil || slot.isDead() {
+			continue
+		}
+		slot.q.push(frame)
+	}
+}
+
+// closeQueues closes every slot's queue; pending frames still drain.
+func closeQueues(slots []*batchSlot) {
+	for _, slot := range slots {
+		if slot != nil {
+			slot.q.close()
+		}
+	}
 }
 
 // batchSession is one engine worker's live pipelined session: k node
@@ -124,11 +149,20 @@ type batchSession struct {
 	c        *Cluster
 	server   *RefereeServer
 	listener net.Listener
-	sess     *session
 	cancel   context.CancelFunc
 	nodes    []*PlayerNode
 	nodeWG   sync.WaitGroup
-	slots    []*batchSlot
+	// slots are the root's connections: players by id on the flat star
+	// (nil = absent), aggregators in accept order on the tree.
+	slots []*batchSlot
+
+	// parentDone is the Done channel of the context the session was
+	// opened with; waits on node goroutines give up when it closes.
+	parentDone <-chan struct{}
+	// tracker holds every listener and connection of the session and
+	// force-closes them when the session context dies.
+	tracker   *connTracker
+	trackStop func()
 
 	nextBatch uint32 // aggregator-only
 
@@ -160,34 +194,28 @@ type batchSession struct {
 
 	// Aggregator-only scratch, reused across chunks. enc is the frame
 	// encode buffer (push copies bytes into the queue, so it is free
-	// again as soon as the pushes return); seeds backs each flight's
-	// ROUND_BATCH payload the same way. samplers is pooled per flight
-	// ordinal within a chunk: staged sampler slices stay referenced by
-	// the nodes until their batch is gathered, and gather waits on every
-	// live slot, so by the time runChunk returns all of them are free.
+	// again as soon as the pushes return); seeds holds the chunk's
+	// public coins, which each flight's ROUND_BATCH slices. samplers is
+	// pooled per flight ordinal within a chunk: staged sampler slices
+	// stay referenced by the nodes until their batch is gathered, and
+	// gather waits on every live slot, so by the time runChunk returns
+	// all of them are free.
 	enc         []byte
 	seeds       []uint64
 	samplers    [][]dist.Sampler
 	flights     []batchFlight
 	verdictBits []uint64
 
-	// Per-trial fallback scratch: the flat session aliases the referee
-	// session's buffers, the sharded session (which has no session
-	// object) owns its own.
+	// Per-trial fallback scratch: one vote slate for decideVotes.
 	votes []core.Message
 	got   []bool
 
 	// Sharded-tree state, nil/empty on the flat star. aggErr (under mu)
 	// records the first aggregator failure; shardSums/shardPresent/
 	// shardGot are the root's per-shard gather table, indexed by shard
-	// id, and aggSums the combined counter accumulator. The tracker
-	// force-closes every tree connection when the session context dies —
-	// the flat path delegates that to its session object.
+	// id, and aggSums the combined counter accumulator.
 	shards       [][]uint32
 	aggs         []*aggregator
-	aggListeners []net.Listener
-	tracker      *connTracker
-	trackStop    func()
 	aggErr       error
 	shardSums    [][]uint64
 	shardPresent []uint32
@@ -202,32 +230,46 @@ type batchFlight struct {
 	start, count int
 }
 
-// newBatchSession starts the session: listener, k node goroutines, the
-// accept/HELLO phase, and one writer per accepted slot. Strict-mode
-// node failures cancel the session context so a blocked accept unwinds.
+// newBatchSession starts the session: k nodes built before anything
+// dials, then the root listener and openBatchSession.
 //
 //dut:coldpath once-per-session construction; node build, dial and handshake are amortized across every batch the session serves
 func newBatchSession(ctx context.Context, c *Cluster) (*batchSession, error) {
-	server, err := c.newServer()
-	if err != nil {
-		return nil, err
-	}
 	nodes, err := c.buildNodes(dist.NopSampler{})
 	if err != nil {
 		return nil, err
 	}
-	listener, err := c.tr.Listen()
+	l, err := c.tr.Listen()
 	if err != nil {
 		return nil, fmt.Errorf("network: listen: %w", err)
 	}
-	runCtx, cancel := context.WithCancel(ctx)
-	go func() {
-		<-runCtx.Done()
-		_ = listener.Close()
-	}()
+	return openBatchSession(ctx, c, l, nodes)
+}
 
-	bs := &batchSession{c: c, server: server, listener: listener, cancel: cancel, nodes: nodes}
-	bs.msgBits = c.rule.Bits()
+// openBatchSession runs the session's set-up on the root listener l,
+// which it takes over: spawn the node goroutines, accept the players
+// (or, on the sharded tree, start the aggregators and accept them), and
+// start one writer per accepted slot. Strict-mode node failures cancel
+// the session context so a blocked accept unwinds.
+//
+//dut:coldpath once-per-session construction; amortized across every batch the session serves
+func openBatchSession(ctx context.Context, c *Cluster, l net.Listener, nodes []*PlayerNode) (*batchSession, error) {
+	server, err := c.newServer()
+	if err != nil {
+		_ = l.Close()
+		return nil, err
+	}
+	runCtx, cancel := context.WithCancel(ctx)
+	tracker := &connTracker{}
+	tracker.track(l)
+	bs := &batchSession{
+		c: c, server: server, listener: l, cancel: cancel, nodes: nodes,
+		parentDone: ctx.Done(), tracker: tracker, trackStop: tracker.watch(runCtx),
+		msgBits: c.rule.Bits(),
+		deliv:   make([][]uint64, c.k),
+		votes:   make([]core.Message, c.k),
+		got:     make([]bool, c.k),
+	}
 	bs.shapeT, bs.shapeOK = core.ThresholdShape(c.referee, c.k)
 	planeLen := bits.Len(uint(c.k))
 	if sumT, sumBits, ok := core.SumShape(c.referee, c.k); ok && sumBits == bs.msgBits {
@@ -241,67 +283,97 @@ func newBatchSession(ctx context.Context, c *Cluster) (*batchSession, error) {
 			}
 		}
 	}
-	bs.deliv = make([][]uint64, c.k)
 	bs.planes = make([]uint64, planeLen)
 
 	if c.topo.enabled() {
-		if err := bs.startSharded(runCtx, listener); err != nil {
-			cancel()
-			bs.nodeWG.Wait()
-			// A strict-mode node or aggregator failure is the root cause;
-			// the accept error it provokes is only a symptom.
-			if !c.tolerant() {
-				if nodeErr := bs.peekNodeErr(); nodeErr != nil {
-					return nil, nodeErr
-				}
-				if aggErr := bs.peekAggErr(); aggErr != nil && !isTransportErr(aggErr) {
-					return nil, aggErr
-				}
-			}
-			return nil, err
-		}
-		return bs, nil
+		err = bs.startSharded(runCtx)
+	} else {
+		err = bs.startFlat(runCtx)
 	}
-
-	for _, node := range nodes {
-		bs.nodeWG.Add(1)
-		//lint:ignore dut/ctxprop cancel() closes the listener and session conns, which unwinds connect and runSessionConn; a ctx check here would race the same teardown
-		go func(node *PlayerNode) {
-			defer bs.nodeWG.Done()
-			conn, retries, err := node.connect(c.tr, listener.Addr())
-			bs.addRetries(retries)
-			if err != nil {
-				bs.failNode(err)
-				return
-			}
-			defer func() { _ = conn.Close() }()
-			if _, err := node.runSessionConn(conn, false); err != nil {
-				bs.failNode(err)
-			}
-		}(node)
-	}
-
-	sess, err := server.startSession(runCtx, listener)
 	if err != nil {
 		cancel()
-		bs.nodeWG.Wait()
-		// A strict-mode node failure is the root cause; the referee error
-		// it provokes (cancelled accept) is only a symptom.
-		if nodeErr := bs.peekNodeErr(); nodeErr != nil && !c.tolerant() {
-			return nil, nodeErr
+		bs.waitNodes()
+		bs.trackStop()
+		bs.tracker.closeAll()
+		// A strict-mode node or aggregator failure is the root cause; the
+		// accept error it provokes is only a symptom.
+		if !c.tolerant() {
+			if nodeErr := bs.peekNodeErr(); nodeErr != nil {
+				return nil, nodeErr
+			}
+			if aggErr := bs.peekAggErr(); aggErr != nil && !isTransportErr(aggErr) {
+				return nil, aggErr
+			}
 		}
 		return nil, err
 	}
-	bs.sess = sess
-	bs.votes, bs.got = sess.votes, sess.got
-	bs.slots = make([]*batchSlot, len(sess.slots))
-	for i, sl := range sess.slots {
-		slot := &batchSlot{sl: sl, q: newFrameQueue(), writerDone: make(chan struct{})}
-		bs.slots[i] = slot
-		//lint:ignore dut/ctxprop the writer drains until its frame queue closes (Close always closes it); cancellation reaches it through failSlot closing the conn
+	return bs, nil
+}
+
+// startFlat is the flat star's set-up: every node dials the root, which
+// accepts them by player id.
+func (bs *batchSession) startFlat(ctx context.Context) error {
+	for _, node := range bs.nodes {
+		bs.spawnNode(node, bs.listener.Addr())
+	}
+	slots, err := bs.server.acceptPlayers(ctx, bs.listener, bs.tracker)
+	if err != nil {
+		return err
+	}
+	bs.slots = slots
+	bs.startWriters(slots)
+	return nil
+}
+
+// spawnNode runs one player node against addr: connect (dial + HELLO
+// with retries), then serve frames until FINISH. Failures are recorded
+// with failNode.
+func (bs *batchSession) spawnNode(node *PlayerNode, addr net.Addr) {
+	bs.nodeWG.Add(1)
+	//lint:ignore dut/ctxprop cancel() closes the listeners and session conns, which unwinds connect and serve; a ctx check here would race the same teardown
+	go func() {
+		defer bs.nodeWG.Done()
+		conn, retries, err := node.connect(bs.c.tr, addr)
+		bs.addRetries(retries)
+		if err != nil {
+			bs.failNode(err)
+			return
+		}
+		defer func() { _ = conn.Close() }()
+		if err := node.serve(conn); err != nil {
+			bs.failNode(err)
+		}
+	}()
+}
+
+// startWriters starts one writer goroutine per present slot.
+func (bs *batchSession) startWriters(slots []*batchSlot) {
+	for _, slot := range slots {
+		if slot == nil {
+			continue
+		}
+		//lint:ignore dut/ctxprop the writer drains until its frame queue closes (every teardown closes it); cancellation reaches it through failSlot closing the conn
 		go bs.slotWriter(slot)
 	}
-	return bs, nil
+}
+
+// waitNodes waits for the node goroutines, but not past the death of
+// the session's parent context: a node stuck inside its own rule cannot
+// be force-aborted. Its connection is closed by then, so it unwinds as
+// soon as the rule returns.
+//
+//dut:coldpath teardown only: session close, failed set-up and strict-mode aborts
+func (bs *batchSession) waitNodes() {
+	done := make(chan struct{})
+	//lint:ignore dut/ctxprop wg.Wait has no cancellation hook; the goroutine only closes done, and the select below honors the parent context
+	go func() {
+		bs.nodeWG.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-bs.parentDone:
+	}
 }
 
 func (bs *batchSession) addRetries(n int) {
@@ -351,7 +423,7 @@ func (bs *batchSession) failSlot(slot *batchSlot, err error) {
 	}
 	slot.mu.Unlock()
 	if !already {
-		_ = slot.sl.conn.Close()
+		_ = slot.conn.Close()
 	}
 }
 
@@ -377,55 +449,59 @@ func (bs *batchSession) slotWriter(slot *batchSlot) {
 		if slot.isDead() {
 			continue // keep draining; the slot is out of the session
 		}
-		setWriteDeadline(slot.sl.conn, time.Duration(frames)*bs.server.timeout)
-		if err := writeCoalesced(slot.sl.conn, run); err != nil {
+		setWriteDeadline(slot.conn, time.Duration(frames)*bs.server.timeout)
+		if err := writeCoalesced(slot.conn, run); err != nil {
 			//lint:ignore dut/hotalloc failure path: failSlot drops the player, so the error allocation never recurs on a live slot
-			bs.failSlot(slot, fmt.Errorf("network: coalesced write of %d frame(s) to player %d: %w", frames, slot.sl.player, err))
+			bs.failSlot(slot, fmt.Errorf("network: coalesced write of %d frame(s) to player %d: %w", frames, slot.id, err))
 		}
 	}
 }
 
-// runChunk executes one engine chunk: it slices specs into wire batches
-// of at most batch trials, issues every ROUND_BATCH up front (putting
-// the whole window in flight), then gathers and decides batch by batch.
-// out receives one RoundResult per spec.
+// runChunk executes one engine chunk: trial i's public coin is
+// engine.SharedSeed(specs[i].Seed, specs[i].Trial). out receives one
+// RoundResult per spec.
 func (bs *batchSession) runChunk(ctx context.Context, specs []engine.RoundSpec, batch int, out []engine.RoundResult) error {
+	seeds := bs.seeds[:0]
+	for _, spec := range specs {
+		seeds = append(seeds, engine.SharedSeed(spec.Seed, spec.Trial))
+	}
+	bs.seeds = seeds
+	return bs.runSeeded(ctx, specs, seeds, batch, out)
+}
+
+// runSeeded executes a chunk whose public coins are given, seeds[i] for
+// specs[i]: it slices the chunk into wire batches of at most batch
+// trials, issues every ROUND_BATCH up front (putting the whole window
+// in flight), then gathers and decides batch by batch.
+func (bs *batchSession) runSeeded(ctx context.Context, specs []engine.RoundSpec, seeds []uint64, batch int, out []engine.RoundResult) error {
 	flights := bs.flights[:0]
 	for start := 0; start < len(specs); start += batch {
 		count := min(len(specs)-start, batch)
-		seeds := bs.seeds[:0]
 		ord := len(flights)
 		if ord == len(bs.samplers) {
 			bs.samplers = append(bs.samplers, nil)
 		}
 		samplers := bs.samplers[ord][:0]
-		for j := 0; j < count; j++ {
-			spec := specs[start+j]
+		for _, spec := range specs[start : start+count] {
 			if spec.Sampler == nil {
 				bs.flights = flights
 				return fmt.Errorf("network: nil sampler")
 			}
-			seeds = append(seeds, engine.SharedSeed(spec.Seed, spec.Trial))
 			samplers = append(samplers, spec.Sampler)
 		}
-		bs.seeds, bs.samplers[ord] = seeds, samplers
+		bs.samplers[ord] = samplers
 		id := bs.nextBatch
 		bs.nextBatch++
 		for _, node := range bs.nodes {
 			node.stageBatch(id, samplers)
 		}
-		enc, err := AppendRoundBatch(bs.enc[:0], RoundBatch{Batch: id, Seeds: seeds})
+		enc, err := AppendRoundBatch(bs.enc[:0], RoundBatch{Batch: id, Seeds: seeds[start : start+count]})
 		bs.enc = enc
 		if err != nil {
 			bs.flights = flights
 			return err
 		}
-		for _, slot := range bs.slots {
-			if slot.isDead() {
-				continue
-			}
-			slot.q.push(enc)
-		}
+		broadcast(bs.slots, enc)
 		flights = append(flights, batchFlight{id: id, start: start, count: count})
 	}
 	bs.flights = flights
@@ -444,7 +520,8 @@ func (bs *batchSession) runChunk(ctx context.Context, specs []engine.RoundSpec, 
 		if bs.sharded() {
 			received = bs.gatherShards(fl.id, fl.count)
 		} else {
-			received = bs.gather(fl.id, fl.count)
+			//lint:ignore dut/hotalloc one fail-hook method value per batch, amortized across the batch's trials like the gather goroutines it feeds
+			received = bs.gather(bs.slots, bs.deliv, fl.id, fl.count, bs.failSlot)
 		}
 		if bs.server.strict() && received < bs.c.k {
 			return bs.chunkErr(bs.firstSlotErr())
@@ -460,7 +537,7 @@ func (bs *batchSession) runChunk(ctx context.Context, specs []engine.RoundSpec, 
 		// bytes to every aggregator, so its downstream work is
 		// O(aggregators) regardless of player count; each aggregator
 		// re-expands it into the VERDICT_BATCH its shard expects. The flat
-		// star keeps pushing VERDICT_BATCH to every player directly.
+		// star pushes VERDICT_BATCH to every player directly.
 		var enc []byte
 		if bs.sharded() {
 			av := AggVerdict{Batch: fl.id, Count: uint32(fl.count), Present: bs.shardPresent, Bits: verdictBits}
@@ -473,12 +550,7 @@ func (bs *batchSession) runChunk(ctx context.Context, specs []engine.RoundSpec, 
 		if err != nil {
 			return bs.chunkErr(err)
 		}
-		for _, slot := range bs.slots {
-			if slot.isDead() {
-				continue
-			}
-			slot.q.push(enc)
-		}
+		broadcast(bs.slots, enc)
 		// Wall time is shared evenly: the batch synchronized once for
 		// count trials (the division remainder lands on the first trial so
 		// the batch's summed wall time equals its elapsed time).
@@ -492,14 +564,13 @@ func (bs *batchSession) runChunk(ctx context.Context, specs []engine.RoundSpec, 
 // chunkErr resolves the root cause of a strict-mode failure. A node
 // that dies first (crash, rule error) leaves the referee only a bare
 // transport error — EOF, closed pipe, blown deadline — so in that case
-// the recorded node failure is the story, mirroring the unbatched
-// paths. A descriptive referee-side error (echo-check mismatch, width
+// the recorded node failure is the story. A descriptive referee-side error (echo-check mismatch, width
 // violation) is itself the root cause: the node's subsequent EOF is the
 // symptom of the referee closing the offending connection.
 func (bs *batchSession) chunkErr(err error) error {
 	if !bs.c.tolerant() {
 		bs.cancel()
-		bs.nodeWG.Wait()
+		bs.waitNodes()
 		// A descriptive aggregator-recorded error (a member's protocol
 		// violation escalated by failMember, or the aggregator's own) is a
 		// root cause on par with a node crash.
@@ -539,6 +610,9 @@ func (bs *batchSession) firstSlotErr() error {
 		return nil
 	}
 	for _, slot := range bs.slots {
+		if slot == nil {
+			continue
+		}
 		slot.mu.Lock()
 		err := slot.err
 		slot.mu.Unlock()
@@ -573,71 +647,73 @@ func (bs *batchSession) firstSlotErr() error {
 }
 
 // gather collects one batch's VOTE_BATCH (r = 1) or VOTE_BATCH_R
-// (r > 1) from every live slot concurrently, validating the player,
-// batch-id and width echoes and the trial count. Delivered plane sets
-// land in bs.deliv by player id (nil = absent); it returns the number
+// (r > 1) from every live slot concurrently. Delivered plane sets land
+// in deliv at the slot's index (nil = absent) — players by id at the
+// flat root, members by shard position at an aggregator — and a slot
+// whose vote batch fails readVotes goes to fail. It returns the number
 // of valid deliveries.
-func (bs *batchSession) gather(batchID uint32, count int) int {
-	for i := range bs.deliv {
-		bs.deliv[i] = nil
-	}
+func (bs *batchSession) gather(slots []*batchSlot, deliv [][]uint64, batchID uint32, count int, fail func(*batchSlot, error)) int {
+	clear(deliv)
 	var wg sync.WaitGroup
-	for _, slot := range bs.slots {
-		if slot.isDead() {
+	for i, slot := range slots {
+		if slot == nil || slot.isDead() {
 			continue
 		}
 		wg.Add(1)
 		//lint:ignore dut/hotalloc one reader goroutine per live member per batch, amortized across the batch's trials
-		go func(slot *batchSlot) {
+		go func(i int, slot *batchSlot) {
 			defer wg.Done()
-			conn := slot.sl.conn
-			// The vote can lag the node's whole batch of sampling plus a
-			// queued verdict write; budget two timeouts, like every other
-			// cross-phase read.
-			setReadDeadline(conn, 2*bs.server.timeout)
-			var vb VoteBatchR
-			if bs.msgBits == 1 {
-				classic, err := expectFrame[VoteBatch](conn, FrameVoteBatch)
-				if err != nil {
-					bs.failSlot(slot, fmt.Errorf("network: vote batch from player %d: %w", slot.sl.player, err))
-					return
-				}
-				vb = VoteBatchR{Player: classic.Player, Batch: classic.Batch, Count: classic.Count, Bits: 1, Planes: classic.Bits}
-			} else {
-				wide, err := expectFrame[VoteBatchR](conn, FrameVoteBatchR)
-				if err != nil {
-					bs.failSlot(slot, fmt.Errorf("network: vote batch from player %d: %w", slot.sl.player, err))
-					return
-				}
-				vb = wide
-			}
-			if vb.Player != slot.sl.player {
-				bs.failSlot(slot, fmt.Errorf("network: vote batch claims player %d on player %d's connection", vb.Player, slot.sl.player))
+			planes, err := bs.readVotes(slot, batchID, count)
+			if err != nil {
+				fail(slot, err)
 				return
 			}
-			if vb.Batch != batchID {
-				bs.failSlot(slot, fmt.Errorf("network: player %d answered batch %d, expected %d", slot.sl.player, vb.Batch, batchID))
-				return
-			}
-			if int(vb.Count) != count {
-				bs.failSlot(slot, fmt.Errorf("network: player %d voted on %d trials of batch %d, expected %d", slot.sl.player, vb.Count, batchID, count))
-				return
-			}
-			if int(vb.Bits) != bs.msgBits {
-				bs.failSlot(slot, fmt.Errorf("network: player %d sent %d-bit votes, the rule uses %d bits", slot.sl.player, vb.Bits, bs.msgBits))
-				return
-			}
-			bs.deliv[slot.sl.player] = vb.Planes
-		}(slot)
+			deliv[i] = planes
+		}(i, slot)
 	}
 	wg.Wait()
 	received := 0
-	for _, d := range bs.deliv {
+	for _, d := range deliv {
 		if d != nil {
 			received++
 		}
 	}
 	return received
+}
+
+// readVotes reads one slot's vote batch and checks its echoes: the
+// connection's player id, the batch id, the trial count and the rule's
+// message width.
+func (bs *batchSession) readVotes(slot *batchSlot, batchID uint32, count int) ([]uint64, error) {
+	// The vote can lag the node's whole batch of sampling plus a queued
+	// verdict write; budget two timeouts, like every other cross-phase
+	// read.
+	setReadDeadline(slot.conn, 2*bs.server.timeout)
+	var vb VoteBatchR
+	if bs.msgBits == 1 {
+		classic, err := expectFrame[VoteBatch](slot.conn, FrameVoteBatch)
+		if err != nil {
+			return nil, fmt.Errorf("network: vote batch from player %d: %w", slot.id, err)
+		}
+		vb = VoteBatchR{Player: classic.Player, Batch: classic.Batch, Count: classic.Count, Bits: 1, Planes: classic.Bits}
+	} else {
+		wide, err := expectFrame[VoteBatchR](slot.conn, FrameVoteBatchR)
+		if err != nil {
+			return nil, fmt.Errorf("network: vote batch from player %d: %w", slot.id, err)
+		}
+		vb = wide
+	}
+	switch {
+	case vb.Player != slot.id:
+		return nil, fmt.Errorf("network: vote batch claims player %d on player %d's connection", vb.Player, slot.id)
+	case vb.Batch != batchID:
+		return nil, fmt.Errorf("network: player %d answered batch %d, expected %d", slot.id, vb.Batch, batchID)
+	case int(vb.Count) != count:
+		return nil, fmt.Errorf("network: player %d voted on %d trials of batch %d, expected %d", slot.id, vb.Count, batchID, count)
+	case int(vb.Bits) != bs.msgBits:
+		return nil, fmt.Errorf("network: player %d sent %d-bit votes, the rule uses %d bits", slot.id, vb.Bits, bs.msgBits)
+	}
+	return vb.Planes, nil
 }
 
 // decideBatch evaluates every trial of a gathered batch, filling one
@@ -646,7 +722,7 @@ func (bs *batchSession) gather(batchID uint32, count int) int {
 // referee it evaluates the whole batch word-parallel; otherwise
 // (partial batches, opaque referees) it reconstructs each trial's vote
 // slate from the delivered planes and reuses decideVotes, so
-// quorum checks and absentee policy are identical to the unbatched
+// quorum checks and absentee policy are identical to the per-trial
 // referee by construction.
 func (bs *batchSession) decideBatch(count, received int, out []engine.RoundResult) ([]uint64, error) {
 	words := batchWords(count)
@@ -810,16 +886,15 @@ func atLeast(planes []uint64, t int) uint64 {
 }
 
 // Close finishes the session: FINISH rides each slot's queue behind any
-// pending verdicts, the writers drain and exit, the nodes unwind, and
-// the connections close.
+// pending verdicts, the writers drain and exit, the aggregators relay
+// it and exit, the nodes unwind, and the connections close.
 func (bs *batchSession) Close() error {
-	finish := AppendFinish(nil)
+	broadcast(bs.slots, AppendFinish(nil))
+	closeQueues(bs.slots)
 	for _, slot := range bs.slots {
-		slot.q.push(finish)
-		slot.q.close()
-	}
-	for _, slot := range bs.slots {
-		<-slot.writerDone
+		if slot != nil {
+			<-slot.writerDone
+		}
 	}
 	// Sharded: FINISH is now on the wire to every aggregator; each one
 	// relays it, drains its pending reductions and exits. Wait for them
@@ -828,20 +903,9 @@ func (bs *batchSession) Close() error {
 		<-a.done
 	}
 	bs.cancel()
-	bs.nodeWG.Wait()
-	if bs.sess != nil {
-		bs.sess.close()
-	}
-	if bs.trackStop != nil {
-		bs.trackStop()
-		bs.tracker.closeAll()
-	}
-	for _, l := range bs.aggListeners {
-		if l != nil {
-			_ = l.Close()
-		}
-	}
-	_ = bs.listener.Close()
+	bs.waitNodes()
+	bs.trackStop()
+	bs.tracker.closeAll()
 	if !bs.c.tolerant() {
 		return bs.peekNodeErr()
 	}

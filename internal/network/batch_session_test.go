@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/distributed-uniformity/dut/internal/core"
 	"github.com/distributed-uniformity/dut/internal/engine"
 )
 
@@ -174,6 +176,51 @@ func TestFirstSlotErr(t *testing.T) {
 			}
 			if tc.want != "" && (got == nil || !strings.Contains(got.Error(), tc.want)) {
 				t.Errorf("firstSlotErr = %v, want it to mention %q", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestBatchRunCancelsWithBlockedRule is the regression test for the
+// unbounded node wait: with a rule that never returns, a batched engine
+// run must give up as soon as its context does, on the flat star and on
+// the tree. The session used to wait for every node goroutine, and a
+// node stuck inside its rule never exits.
+func TestBatchRunCancelsWithBlockedRule(t *testing.T) {
+	block := make(chan struct{})
+	t.Cleanup(func() { close(block) })
+	rule := core.RuleFunc(func(int, []int, uint64, *rand.Rand) (core.Message, error) {
+		<-block
+		return core.Accept, nil
+	})
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			c, err := NewCluster(ClusterConfig{
+				K: 4, Q: 0, Rule: rule, Referee: andReferee(),
+				Timeout: 5 * time.Second, Shards: shards,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := NewBackend(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			src := engine.Fixed(uniformSampler(t, 4))
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			done := make(chan error, 1)
+			go func() {
+				_, err := engine.Run(ctx, b, src, 8, engine.Options{Seed: 3, Workers: 1, Batch: 4})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Error("cancelled batched run reported success")
+				}
+			case <-time.After(3 * time.Second):
+				t.Error("cancellation did not abort the batched run")
 			}
 		})
 	}

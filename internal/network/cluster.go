@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"sync"
 	"time"
 
 	"github.com/distributed-uniformity/dut/internal/core"
 	"github.com/distributed-uniformity/dut/internal/dist"
+	"github.com/distributed-uniformity/dut/internal/engine"
 )
 
 // Cluster runs a full SMP tester as a networked system: a referee server
@@ -63,9 +63,8 @@ type ClusterConfig struct {
 	// attempts, doubled per retry; zero selects DefaultRetryBackoff.
 	RetryBackoff time.Duration
 	// Shards is the number of L1 aggregators in the referee tree; 0 and
-	// 1 both keep the flat star. Sharding only affects the batched
-	// engine paths (RunManyStats and the engine backend); verdicts are
-	// bit-identical to the flat referee by contract.
+	// 1 both keep the flat star. Verdicts are bit-identical to the flat
+	// referee by contract.
 	Shards int
 	// AggregatorWeights are relative aggregator capacities for
 	// heterogeneous placements; nil means uniform. Must be len Shards
@@ -161,7 +160,7 @@ func (c *Cluster) newServer() (*RefereeServer, error) {
 // buildNodes constructs all k player nodes before any goroutine is
 // spawned: a construction error must not leave already-spawned nodes
 // running against a live listener. Nodes carry no generator — each derives
-// its randomness per round from the ROUND frame's seed and its id.
+// its randomness per trial from the ROUND_BATCH frame's seed and its id.
 func (c *Cluster) buildNodes(sampler dist.Sampler) ([]*PlayerNode, error) {
 	nodes := make([]*PlayerNode, c.k)
 	for i := 0; i < c.k; i++ {
@@ -200,119 +199,94 @@ func (c *Cluster) RunStats(ctx context.Context, sampler dist.Sampler, rng *rand.
 }
 
 // RunRoundSeeded executes one networked round with an explicit
-// public-coin seed: the seed rides in the ROUND frame and every node's
-// samples and private coins derive from (seed, id), making the round's
-// verdict bit-identical to the in-process SMP simulator's for the same
-// seed. This is the primitive the engine's cluster backend drives.
+// public-coin seed: it opens a session, runs the round as a batch of one
+// whose ROUND_BATCH carries the seed, and closes the session. Every
+// node's samples and private coins derive from (seed, id), making the
+// round's verdict bit-identical to the in-process SMP simulator's for
+// the same seed.
 func (c *Cluster) RunRoundSeeded(ctx context.Context, sampler dist.Sampler, seed uint64) (bool, RoundStats, error) {
 	if sampler == nil {
 		return false, RoundStats{}, fmt.Errorf("network: nil sampler")
 	}
-	nodes, err := c.buildNodes(sampler)
+	bs, err := newBatchSession(ctx, c)
 	if err != nil {
 		return false, RoundStats{}, err
 	}
-	return c.runRoundSeededNodes(ctx, nodes, seed)
+	specs := [1]engine.RoundSpec{{Sampler: sampler}}
+	seeds := [1]uint64{seed}
+	var out [1]engine.RoundResult
+	err = bs.runSeeded(ctx, specs[:], seeds[:], 1, out[:])
+	if closeErr := bs.Close(); err == nil {
+		err = closeErr
+	}
+	if err != nil {
+		return false, RoundStats{}, err
+	}
+	return out[0].Verdict, roundStats(out[0]), nil
 }
 
-// runRoundSeededNodes is RunRoundSeeded over caller-owned nodes, so the
-// engine's scratch backend can reuse one node set (sample buffers and
-// reseedable generators included) across trials instead of rebuilding k
-// nodes per round.
-//
-//dut:coldpath classic per-trial protocol: one referee session per round by design; the zero-alloc contract covers the batch path
-func (c *Cluster) runRoundSeededNodes(ctx context.Context, nodes []*PlayerNode, seed uint64) (bool, RoundStats, error) {
-	var stats RoundStats
-	server, err := c.newServer()
+// RunManyStats runs a multi-round session end to end: one connection per
+// node for all rounds, one verdict and one RoundStats per round. The
+// majority of the verdicts is the amplified decision (see core.Amplify).
+// With ClusterConfig.MinVotes set, node failures injected by faults are
+// tolerated down to the quorum; connect retries are reported on the
+// first round's stats. The rounds run through the engine driver on one
+// worker, one round per wire batch, so round t's verdict is on the wire
+// before round t+1's ROUND_BATCH; round seeds derive from (base seed,
+// round) exactly as every other backend's do, so a session's verdict
+// sequence reproduces the in-process SMP backend's.
+func (c *Cluster) RunManyStats(ctx context.Context, sampler dist.Sampler, rng *rand.Rand, rounds int) ([]bool, []RoundStats, error) {
+	if sampler == nil {
+		return nil, nil, fmt.Errorf("network: nil sampler")
+	}
+	if rng == nil {
+		return nil, nil, fmt.Errorf("network: nil rng")
+	}
+	if rounds < 1 {
+		return nil, nil, fmt.Errorf("network: session with %d rounds", rounds)
+	}
+	results, err := engine.Run(ctx, &clusterBackend{c: c}, engine.Fixed(sampler), rounds,
+		engine.Options{Workers: 1, Batch: 1, Seed: rng.Uint64()})
 	if err != nil {
-		return false, stats, err
+		return nil, nil, err
 	}
-	listener, err := c.tr.Listen()
-	if err != nil {
-		return false, stats, fmt.Errorf("network: listen: %w", err)
+	verdicts := make([]bool, rounds)
+	stats := make([]RoundStats, rounds)
+	for i, r := range results {
+		verdicts[i] = r.Verdict
+		stats[i] = roundStats(r)
 	}
-	defer func() { _ = listener.Close() }()
+	return verdicts, stats, nil
+}
 
-	// In strict mode a failed node dooms the round, so its goroutine
-	// cancels runCtx to unblock a referee still waiting in accept.
-	runCtx, cancelRound := context.WithCancel(ctx)
-	defer cancelRound()
+// RunMany is RunManyStats without the statistics.
+func (c *Cluster) RunMany(ctx context.Context, sampler dist.Sampler, rng *rand.Rand, rounds int) ([]bool, error) {
+	verdicts, _, err := c.RunManyStats(ctx, sampler, rng, rounds)
+	return verdicts, err
+}
 
-	// Close the listener if the round dies so a blocked Accept returns.
-	watchdogDone := make(chan struct{})
-	defer close(watchdogDone)
-	go func() {
-		select {
-		case <-runCtx.Done():
-			_ = listener.Close()
-		case <-watchdogDone:
-		}
-	}()
-
-	type result struct {
-		accept  bool
-		retries int
-		err     error
+// roundStats maps one trial's engine accounting onto RoundStats.
+func roundStats(r engine.RoundResult) RoundStats {
+	return RoundStats{
+		Round:      r.Trial,
+		Votes:      r.Votes,
+		Stragglers: r.Stragglers,
+		Retries:    r.Retries,
+		Wall:       r.Wall,
+		Verdict:    r.Verdict,
 	}
-	nodeResults := make(chan result, c.k)
-	var wg sync.WaitGroup
-	for i := range nodes {
-		wg.Add(1)
-		go func(node *PlayerNode) {
-			defer wg.Done()
-			accept, retries, err := node.RunRoundStats(c.tr, listener.Addr())
-			if err != nil && !c.tolerant() {
-				cancelRound()
-			}
-			nodeResults <- result{accept: accept, retries: retries, err: err}
-		}(nodes[i])
+}
+
+// MajorityVerdict reduces a session's verdicts to the amplified decision.
+func MajorityVerdict(verdicts []bool) (bool, error) {
+	if len(verdicts) == 0 {
+		return false, fmt.Errorf("network: majority of zero verdicts")
 	}
-
-	verdict, stats, refErr := server.RunRoundStats(runCtx, listener, seed)
-
-	// Wait for the nodes, but do not block past cancellation: a node stuck
-	// inside its own rule cannot be force-aborted, and on ctx death its
-	// connection is already closed, so it will unwind as soon as the rule
-	// returns.
-	nodesDone := make(chan struct{})
-	//lint:ignore dut/ctxprop wg.Wait has no cancellation hook; the goroutine only closes nodesDone, and the select below honors ctx
-	go func() {
-		wg.Wait()
-		close(nodesDone)
-	}()
-	select {
-	case <-nodesDone:
-	case <-ctx.Done():
-		if refErr != nil {
-			return false, stats, refErr
-		}
-		return false, stats, ctx.Err()
-	}
-
-	close(nodeResults)
-	var nodeErr error
-	for r := range nodeResults {
-		stats.Retries += r.retries
-		if r.err != nil {
-			if c.tolerant() {
-				continue // the referee already accounted for this straggler
-			}
-			if nodeErr == nil {
-				nodeErr = r.err
-			}
-			continue
-		}
-		if refErr == nil && r.accept != verdict {
-			return false, stats, fmt.Errorf("network: node saw verdict %v, referee decided %v", r.accept, verdict)
+	accepts := 0
+	for _, v := range verdicts {
+		if v {
+			accepts++
 		}
 	}
-	// A strict-mode node failure is the root cause; the referee error it
-	// provokes (cancelled accept, closed connections) is only a symptom.
-	if nodeErr != nil {
-		return false, stats, nodeErr
-	}
-	if refErr != nil {
-		return false, stats, refErr
-	}
-	return verdict, stats, nil
+	return 2*accepts > len(verdicts), nil
 }

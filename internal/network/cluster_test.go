@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -280,13 +281,6 @@ func TestRefereeServerValidation(t *testing.T) {
 	if _, err := NewRefereeServer(1, core.BitReferee{Rule: core.ANDRule{}}, -1); err == nil {
 		t.Error("negative timeout accepted")
 	}
-	s, err := NewRefereeServer(1, core.BitReferee{Rule: core.ANDRule{}}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RunRound(context.Background(), nil, 0); err == nil {
-		t.Error("nil listener accepted")
-	}
 }
 
 func TestPlayerNodeValidation(t *testing.T) {
@@ -304,64 +298,34 @@ func TestPlayerNodeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := node.RunRound(nil, memAddr("x")); err == nil {
-		t.Error("nil transport accepted")
-	}
-	if _, err := node.RunRound(NewMemTransport(), memAddr("x")); err == nil {
+	if _, _, err := node.connect(NewMemTransport(), memAddr("x")); err == nil {
 		t.Error("dial to nowhere succeeded")
 	}
 }
 
 func TestRefereeRejectsMisbehavingNode(t *testing.T) {
-	// A node claiming a different player id in its VOTE must abort the
-	// round.
-	m := NewMemTransport()
-	l, err := m.Listen()
+	// A node claiming a different player id in its vote batch must abort
+	// the round.
+	bs, err := fakeSession(t, 1, 1, time.Second, func(conn net.Conn) {
+		if err := WriteHello(conn, Hello{Player: 0, Bits: 1}); err != nil {
+			return
+		}
+		voteAccept(conn, 99)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() { _ = l.Close() }()
-	server, err := NewRefereeServer(1, core.BitReferee{Rule: core.ANDRule{}}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		conn, err := m.Dial(l.Addr())
-		if err != nil {
-			return
-		}
-		defer func() { _ = conn.Close() }()
-		_ = WriteHello(conn, Hello{Player: 0, Bits: 1})
-		if _, err := expectFrame[Round](conn, FrameRound); err != nil {
-			return
-		}
-		_ = WriteVote(conn, Vote{Player: 99, Message: 1})
-	}()
-	if _, err := server.RunRound(context.Background(), l, 7); err == nil {
-		t.Error("mismatched vote accepted")
+	defer func() { _ = bs.Close() }()
+	if _, err := runOneTrial(bs); err == nil || !strings.Contains(err.Error(), "claims player 99") {
+		t.Errorf("err = %v, want the mismatched vote rejected", err)
 	}
 }
 
 func TestRefereeRejectsBadBits(t *testing.T) {
-	m := NewMemTransport()
-	l, err := m.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = l.Close() }()
-	server, err := NewRefereeServer(1, core.BitReferee{Rule: core.ANDRule{}}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		conn, err := m.Dial(l.Addr())
-		if err != nil {
-			return
-		}
-		defer func() { _ = conn.Close() }()
+	_, err := fakeSession(t, 1, 1, time.Second, func(conn net.Conn) {
 		_ = WriteHello(conn, Hello{Player: 0, Bits: 0})
-	}()
-	if _, err := server.RunRound(context.Background(), l, 7); err == nil {
+	})
+	if err == nil {
 		t.Error("zero-bit hello accepted")
 	}
 }

@@ -92,8 +92,8 @@ func FormatFrameCounts(m map[FrameType]uint64) string {
 // window) still count one tally per frame, not per syscall.
 //
 // Tier attribution uses creation order: the first listener is the
-// root's (newBatchSession and startSession both listen before
-// startSharded builds the aggregator tier), every later listener an
+// root's (newBatchSession listens before startSharded builds the
+// aggregator tier), every later listener an
 // aggregator's. That holds for a single engine worker — the netdemo and
 // fan-out tests run with Workers 1 — and for every direct RunMany*
 // session; a multi-worker engine run would interleave per-worker root

@@ -3,15 +3,23 @@
 // exchanging length-prefixed frames over a Transport (in-memory pipes for
 // tests and simulations, TCP loopback for the deployment-shaped demo).
 //
-// One round follows the model exactly:
+// Every round runs in a session of long-lived connections, and a round
+// of the model is a wire batch of one trial:
 //
-//  1. Every player connects and sends HELLO with its player id.
-//  2. The referee replies ROUND carrying the public-coin seed shared by
-//     all players of the round.
-//  3. Each player draws its q samples locally, evaluates its core.LocalRule
-//     and sends VOTE with its message bits.
+//  1. Every player connects and sends HELLO with its player id and its
+//     rule's message width.
+//  2. The referee sends ROUND_BATCH carrying the round's public-coin
+//     seed, shared by all players.
+//  3. Each player draws its q samples locally, evaluates its
+//     core.LocalRule and answers with VOTE_BATCH (VOTE_BATCH_R for
+//     r-bit rules) carrying its message bits.
 //  4. After collecting all k votes the referee applies its core.Referee
-//     decision function and broadcasts VERDICT.
+//     decision function and broadcasts VERDICT_BATCH.
+//
+// The same frames carry up to MaxBatchTrials trials at once, and the
+// session closes with FINISH. With ClusterConfig.Shards the referee
+// becomes a two-tier tree whose aggregators reduce their shard's votes
+// before they reach the root; verdicts are bit-identical either way.
 //
 // Cluster wires the pieces together and implements core.Protocol, so a
 // networked deployment can be dropped into the same experiment harness as
@@ -22,11 +30,11 @@
 // The referee enforces the protocol, not just the frame format. A HELLO
 // must announce between 1 and 64 message bits and a player id in [0, k);
 // a second connection claiming an id already registered is a duplicate
-// and rejected. A VOTE must carry the id of the connection it arrives on
-// and a message that fits the bits announced at HELLO — a 1-bit rule
-// cannot smuggle a wide message past the decision function. On the frame
-// layer, a VERDICT payload byte other than 0x00 or 0x01 is a malformed
-// frame, never a reject vote.
+// and rejected. A vote batch must carry the id of the connection it
+// arrives on, echo the batch id and trial count, and use the negotiated
+// message width — a 1-bit rule cannot smuggle a wide message past the
+// decision function. On the frame layer, a bitset with bits set above
+// its trial count is a malformed frame, never an extra vote or verdict.
 //
 // # Straggler tolerance
 //

@@ -30,21 +30,21 @@ type FaultPlan struct {
 	// referee's per-frame timeout).
 	Delay time.Duration
 	// CorruptFrame corrupts the payload of the player's Nth written frame
-	// (1-based: HELLO is frame 1, the round-r VOTE is frame r+1); zero
-	// corrupts nothing. For single-round frames the last payload byte is
-	// XORed with a seeded mask whose high bit is always set, so
-	// single-bit votes become detectably out of range for the referee's
-	// bits enforcement. A VOTE_BATCH is corrupted in its batch-id field
-	// instead — its tail bytes are real vote bits, where a flip would be
-	// a silent wrong verdict rather than a detectable violation; the
-	// referee's batch-id echo check catches the id corruption
-	// deterministically.
+	// (1-based: HELLO is frame 1; with one trial per batch, the round-r
+	// VOTE_BATCH is frame r+1); zero corrupts nothing. A vote batch is
+	// corrupted in its batch-id field — its tail bytes are real vote
+	// bits, where a flip would be a silent wrong verdict rather than a
+	// detectable violation — by XOR with a seeded mask whose high bit is
+	// always set, so the referee's batch-id echo check catches it
+	// deterministically. Any other frame has its last payload byte
+	// corrupted the same way (a HELLO's message width).
 	CorruptFrame int
-	// CrashAtRound closes the player's connection as it writes the VOTE of
-	// the given round (1-based); zero never crashes. The player behaves
-	// correctly up to round CrashAtRound-1 and then dies mid-protocol. A
-	// VOTE_BATCH covers as many rounds as its trial count, so a crash
-	// scheduled inside a batch kills the write of the whole batch.
+	// CrashAtRound closes the player's connection as it writes the vote
+	// batch covering the given round (1-based); zero never crashes. The
+	// player behaves correctly up to round CrashAtRound-1 and then dies
+	// mid-protocol. A VOTE_BATCH covers as many rounds as its trial
+	// count, so a crash scheduled inside a batch kills the write of the
+	// whole batch.
 	CrashAtRound int
 	// DropVerdict kills the connection as the Nth AGG_VERDICT frame
 	// (1-based) arrives on its read side; zero never drops. Meaningful in
@@ -356,16 +356,12 @@ func (c *faultConn) Write(p []byte) (int, error) {
 	if len(p) >= headerSize && binary.BigEndian.Uint16(p[0:2]) == Magic {
 		kind = FrameType(p[3])
 	}
+	// Every batch-shaped upstream frame carries its trial count at the
+	// same payload offset: player/agg id (4), batch id (4), count (4).
+	batchShaped := kind == FrameVoteBatch || kind == FrameVoteBatchR || kind == FrameAggSum || kind == FrameAggPlanes
 	rounds := 0
-	switch kind {
-	case FrameVote:
-		rounds = 1
-	case FrameVoteBatch, FrameVoteBatchR, FrameAggSum, FrameAggPlanes:
-		// Every batch-shaped frame carries its trial count at the same
-		// payload offset: player/agg id (4), batch id (4), count (4).
-		if len(p) >= voteBatchCountOffset+4 {
-			rounds = int(binary.BigEndian.Uint32(p[voteBatchCountOffset : voteBatchCountOffset+4]))
-		}
+	if batchShaped && len(p) >= voteBatchCountOffset+4 {
+		rounds = int(binary.BigEndian.Uint32(p[voteBatchCountOffset : voteBatchCountOffset+4]))
 	}
 	c.votes += rounds
 	lastRound := c.votes
@@ -389,11 +385,8 @@ func (c *faultConn) Write(p []byte) (int, error) {
 		// counters, where a flip would be a silent wrong verdict instead
 		// of a validated protocol error.
 		idx := len(q) - 1
-		switch kind {
-		case FrameVoteBatch, FrameVoteBatchR, FrameAggSum, FrameAggPlanes:
-			if len(q) > voteBatchIDOffset {
-				idx = voteBatchIDOffset
-			}
+		if batchShaped && len(q) > voteBatchIDOffset {
+			idx = voteBatchIDOffset
 		}
 		q[idx] ^= mask
 		n, err := c.Conn.Write(q)

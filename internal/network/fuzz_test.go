@@ -13,27 +13,26 @@ import (
 // corpus runs as part of the normal test suite, and CI runs a short
 // -fuzztime smoke on every push.
 func FuzzFrame(f *testing.F) {
-	// Seed with every valid frame type plus structural mutations.
-	var hello, round, vote, verdict, finish bytes.Buffer
+	// Seed with every valid frame type plus structural mutations. Types
+	// 2..4 are the retired ROUND/VOTE/VERDICT frames: their old valid
+	// encodings must now be rejected as unknown types.
+	var hello, finish bytes.Buffer
 	_ = WriteHello(&hello, Hello{Player: 3, Bits: 1})
-	_ = WriteRound(&round, Round{Seed: 0xfeedface})
-	_ = WriteVote(&vote, Vote{Player: 3, Message: 99})
-	_ = WriteVerdict(&verdict, Verdict{Accept: true})
 	_ = WriteFinish(&finish)
 	f.Add(hello.Bytes())
-	f.Add(round.Bytes())
-	f.Add(vote.Bytes())
-	f.Add(verdict.Bytes())
+	f.Add([]byte{0xD0, 0x7A, 1, 2, 0, 0, 0, 8, 0, 0, 0, 0, 0xfe, 0xed, 0xfa, 0xce})   // retired ROUND, formerly valid
+	f.Add([]byte{0xD0, 0x7A, 1, 3, 0, 0, 0, 12, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 99}) // retired VOTE, formerly valid
+	f.Add([]byte{0xD0, 0x7A, 1, 4, 0, 0, 0, 1, 1})                                    // retired VERDICT, formerly valid
 	f.Add(finish.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte{0xD0, 0x7A, 1, 14, 0, 0, 0, 0})               // unknown type
 	f.Add([]byte{0x00, 0x00, 1, 1, 0, 0, 0, 0})                // bad magic
 	f.Add([]byte{0xD0, 0x7A, 9, 1, 0, 0, 0, 0})                // bad version
 	f.Add([]byte{0xD0, 0x7A, 1, 1, 0xFF, 0xFF, 0xFF, 0xFF})    // huge length
-	f.Add([]byte{0xD0, 0x7A, 1, 2, 0, 0, 0, 4, 1, 2, 3, 4})    // ROUND payload of 4 bytes, want 8
-	f.Add([]byte{0xD0, 0x7A, 1, 3, 0, 0, 0, 5, 1, 2, 3, 4, 5}) // VOTE payload of 5 bytes, want 12
-	f.Add([]byte{0xD0, 0x7A, 1, 4, 0, 0, 0, 1, 2})             // VERDICT byte other than 0/1
-	f.Add([]byte{0xD0, 0x7A, 1, 4, 0, 0, 0, 1, 0xFF})          // VERDICT byte 0xFF
+	f.Add([]byte{0xD0, 0x7A, 1, 2, 0, 0, 0, 4, 1, 2, 3, 4})    // retired ROUND, short payload
+	f.Add([]byte{0xD0, 0x7A, 1, 3, 0, 0, 0, 5, 1, 2, 3, 4, 5}) // retired VOTE, short payload
+	f.Add([]byte{0xD0, 0x7A, 1, 4, 0, 0, 0, 1, 2})             // retired VERDICT, byte other than 0/1
+	f.Add([]byte{0xD0, 0x7A, 1, 4, 0, 0, 0, 1, 0xFF})          // retired VERDICT, byte 0xFF
 	f.Add([]byte{0xD0, 0x7A, 1, 5, 0, 0, 0, 1, 0})             // FINISH with a payload byte
 
 	// Valid batch frames, including a partial final word and a bitset
@@ -201,18 +200,6 @@ func FuzzFrame(f *testing.F) {
 		case Hello:
 			if err := WriteHello(&buf, m); err != nil {
 				t.Fatalf("re-encode hello: %v", err)
-			}
-		case Round:
-			if err := WriteRound(&buf, m); err != nil {
-				t.Fatalf("re-encode round: %v", err)
-			}
-		case Vote:
-			if err := WriteVote(&buf, m); err != nil {
-				t.Fatalf("re-encode vote: %v", err)
-			}
-		case Verdict:
-			if err := WriteVerdict(&buf, m); err != nil {
-				t.Fatalf("re-encode verdict: %v", err)
 			}
 		case Finish:
 			if err := WriteFinish(&buf); err != nil {

@@ -85,11 +85,6 @@ func NewPlayerNode(id uint32, q int, rule core.LocalRule, sampler dist.Sampler, 
 	}, nil
 }
 
-// setSampler rebinds the node's sampler between rounds; the engine's
-// scratch cluster backend uses it to reuse one node set across trials
-// whose sources serve varying distributions.
-func (p *PlayerNode) setSampler(sampler dist.Sampler) { p.sampler = sampler }
-
 // SetRetryPolicy overrides the connect retry budget: retries is the
 // number of attempts after the first (negative clamps to zero, i.e. fail
 // fast), backoff the initial sleep between attempts (non-positive selects
@@ -141,56 +136,32 @@ func (p *PlayerNode) connect(tr Transport, addr net.Addr) (net.Conn, int, error)
 	return nil, p.retries, fmt.Errorf("network: node %d connect failed after %d attempt(s): %w", p.id, p.retries+1, lastErr)
 }
 
-// RunRoundStats participates in one round over the given transport and
-// returns the referee's verdict as seen by this node, together with the
-// number of connect retries spent. The node's sampling and private coins
-// derive from the ROUND frame's public-coin seed and its own id
-// (engine.NodeRNG), so a networked round reproduces the in-process SMP
-// round with the same seed bit for bit.
-func (p *PlayerNode) RunRoundStats(tr Transport, addr net.Addr) (bool, int, error) {
-	if tr == nil {
-		return false, 0, fmt.Errorf("network: nil transport")
+// serve is the node's frame loop over an established connection:
+// answer every ROUND_BATCH with a vote batch, take VERDICT_BATCH frames
+// as they come, and exit on FINISH.
+func (p *PlayerNode) serve(conn net.Conn) error {
+	for {
+		// Referee frames can lag a full referee phase behind — the quorum
+		// accept phase before the first ROUND_BATCH, a slow peer's vote
+		// before a VERDICT_BATCH — so reads get a two-timeout budget.
+		setDeadline(conn, 2*p.timeout)
+		t, msg, err := ReadFrame(conn)
+		if err != nil {
+			return fmt.Errorf("network: node %d read: %w", p.id, err)
+		}
+		switch m := msg.(type) {
+		case RoundBatch:
+			if err := p.voteBatch(conn, m); err != nil {
+				return err
+			}
+		case VerdictBatch:
+			// Nothing to do: a node keeps no state across trials.
+		case Finish:
+			return nil
+		default:
+			return fmt.Errorf("network: node %d got unexpected %v mid-session", p.id, t)
+		}
 	}
-	conn, retries, err := p.connect(tr, addr)
-	if err != nil {
-		return false, retries, err
-	}
-	defer func() { _ = conn.Close() }()
-
-	// A referee frame can lag a full referee phase behind: in quorum mode
-	// the accept phase holds the ROUND back for up to one timeout while
-	// the referee waits out stragglers. Budget two timeouts for reads.
-	setDeadline(conn, 2*p.timeout)
-	round, err := expectFrame[Round](conn, FrameRound)
-	if err != nil {
-		return false, retries, fmt.Errorf("network: node %d round: %w", p.id, err)
-	}
-	rng := p.rng.SeedNode(round.Seed, int(p.id))
-	dist.SampleInto(p.sampler, p.buf, rng)
-	msg, err := p.rule.Message(int(p.id), p.buf, round.Seed, rng)
-	if err != nil {
-		return false, retries, fmt.Errorf("network: node %d rule: %w", p.id, err)
-	}
-	// Refresh the deadline: sampling and the rule may have consumed the
-	// connect-phase deadline.
-	setDeadline(conn, p.timeout)
-	if err := WriteVote(conn, Vote{Player: p.id, Message: uint64(msg)}); err != nil {
-		return false, retries, fmt.Errorf("network: node %d vote: %w", p.id, err)
-	}
-	// The verdict waits on the whole vote-gathering phase: slow peers may
-	// consume most of a timeout before the referee can decide.
-	setDeadline(conn, 2*p.timeout)
-	verdict, err := expectFrame[Verdict](conn, FrameVerdict)
-	if err != nil {
-		return false, retries, fmt.Errorf("network: node %d verdict: %w", p.id, err)
-	}
-	return verdict.Accept, retries, nil
-}
-
-// RunRound is RunRoundStats without the retry count.
-func (p *PlayerNode) RunRound(tr Transport, addr net.Addr) (bool, error) {
-	accept, _, err := p.RunRoundStats(tr, addr)
-	return accept, err
 }
 
 // stageBatch registers per-trial sampler overrides for an upcoming
@@ -222,11 +193,10 @@ func (p *PlayerNode) takeStaged(batch uint32) ([]dist.Sampler, bool) {
 
 // voteBatch computes one vote per seed of a ROUND_BATCH and replies
 // with the packed VOTE_BATCH (single-bit rules) or VOTE_BATCH_R (r-bit
-// rules, one bit-plane per message bit). Each trial's derivation is
-// exactly the single-round path's — engine.NodeRNG(seed, id) feeding
-// SampleInto and the rule — so lane j of the reply equals the VOTE the
-// node would have sent for seed j unbatched. Single-bit rules keep the
-// classic VOTE_BATCH frame, byte-identical to the pre-r protocol.
+// rules, one bit-plane per message bit). Each trial derives its
+// randomness from engine.NodeRNG(seed, id) feeding SampleInto and the
+// rule, so lane j of the reply equals the in-process SMP player's
+// message for seed j, whatever the batch size.
 //
 //dut:hotpath per-batch node sampling and vote encode
 func (p *PlayerNode) voteBatch(conn net.Conn, rb RoundBatch) error {

@@ -4,18 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"sync"
 	"time"
 
 	"github.com/distributed-uniformity/dut/internal/core"
-	"github.com/distributed-uniformity/dut/internal/engine"
 )
 
-// RefereeServer collects one round of votes from k players and broadcasts
-// the decision of its core.Referee. By default it is strict — all k votes
-// are required, exactly the paper's model. WithMinVotes relaxes it to a
+// RefereeServer holds the referee's decision settings for a session of
+// k players: the accept/HELLO phase and the decision of its
+// core.Referee. By default it is strict — all k votes are required,
+// exactly the paper's model. WithMinVotes relaxes it to a
 // quorum: the referee tolerates stragglers, crashed nodes and protocol
 // violators, decides from the votes it has (absentees entering the
 // decision per the configured core.AbsenteePolicy), and reports what
@@ -104,35 +105,25 @@ type RoundStats struct {
 	// rejected for protocol violations.
 	Stragglers int
 	// Retries is the total number of node-side dial/HELLO retry attempts.
-	// It is filled in by Cluster (the referee cannot see retries); for
-	// multi-round sessions the setup-phase retries are reported on the
-	// first round's stats.
+	// The setup-phase retries of a session are reported on its first
+	// round's stats.
 	Retries int
-	// Wall is the wall-clock duration of the round; for the first round
-	// of a session it includes the accept phase.
+	// Wall is the wall-clock duration of the round: its share of the
+	// wire batch that carried it.
 	Wall time.Duration
 	// Verdict is the referee's decision for the round.
 	Verdict bool
 }
 
-// playerSlot is the referee's per-connection state. A slot that fails
-// mid-session in quorum mode is marked dead and skipped (and counted as a
-// straggler) in subsequent rounds.
-type playerSlot struct {
-	conn   net.Conn
-	player uint32
-	bits   uint8
-	dead   bool
-}
-
-// connTracker collects accepted connections so that they are all closed
-// when the round/session ends and force-closed when the context dies.
+// connTracker collects a session's listeners and connections so that
+// they are all closed when the session ends and force-closed when its
+// context dies (which also unblocks a pending Accept).
 type connTracker struct {
 	mu    sync.Mutex
-	conns []net.Conn
+	conns []io.Closer
 }
 
-func (t *connTracker) track(c net.Conn) {
+func (t *connTracker) track(c io.Closer) {
 	t.mu.Lock()
 	t.conns = append(t.conns, c)
 	t.mu.Unlock()
@@ -160,10 +151,9 @@ func (t *connTracker) watch(ctx context.Context) (stop func()) {
 	return func() { close(done) }
 }
 
-// validateHello checks one player's announcement against the protocol
-// rules: bits in [1,64] and matching the referee's negotiated width
-// when one is pinned (WithMessageBits), id in [0,k), no duplicate ids.
-func (s *RefereeServer) validateHello(h Hello, seen []bool) error {
+// checkBits checks a HELLO's message width: in [1,64] and matching the
+// referee's negotiated width when one is pinned (WithMessageBits).
+func (s *RefereeServer) checkBits(h Hello) error {
 	if h.Bits < 1 || h.Bits > 64 {
 		return fmt.Errorf("network: player %d announced %d message bits", h.Player, h.Bits)
 	}
@@ -171,132 +161,97 @@ func (s *RefereeServer) validateHello(h Hello, seen []bool) error {
 		return fmt.Errorf("network: player %d announced %d-bit messages but the referee's rule decides over %d-bit messages",
 			h.Player, h.Bits, s.bits)
 	}
-	if h.Player >= uint32(s.k) {
-		return fmt.Errorf("network: player id %d out of range [0, %d)", h.Player, s.k)
-	}
-	if seen[h.Player] {
-		return fmt.Errorf("network: duplicate player id %d", h.Player)
-	}
 	return nil
 }
 
-// acceptPlayers runs the accept/HELLO phase. In strict mode it blocks
-// until all k players have registered (or the listener/context dies). In
-// quorum mode the whole phase is bounded by an accept deadline of one
-// timeout; once the deadline passes, the phase succeeds with at least
-// minVotes players and fails otherwise. Connections with invalid HELLOs
-// (bad bits, out-of-range or duplicate ids) abort the round in strict
-// mode and are dropped in quorum mode.
-func (s *RefereeServer) acceptPlayers(ctx context.Context, l net.Listener, tr *connTracker) ([]*playerSlot, error) {
+// placePlayer validates one player's HELLO at the flat root and returns
+// its slot index, the player id: the width must pass checkBits, the id
+// must be in [0,k) and not yet registered.
+func (s *RefereeServer) placePlayer(h Hello, slots []*batchSlot) (int, error) {
+	if err := s.checkBits(h); err != nil {
+		return 0, err
+	}
+	if h.Player >= uint32(s.k) {
+		return 0, fmt.Errorf("network: player id %d out of range [0, %d)", h.Player, s.k)
+	}
+	if slots[h.Player] != nil {
+		return 0, fmt.Errorf("network: duplicate player id %d", h.Player)
+	}
+	return int(h.Player), nil
+}
+
+// acceptSlots runs an accept/HELLO phase for n expected players. In
+// strict mode it blocks until all n have registered (or the listener or
+// context dies). In quorum mode the whole phase is bounded by an accept
+// deadline of one timeout, after which it ends with whoever registered;
+// the caller checks the quorum. place validates a HELLO against the
+// slots registered so far and returns the player's slot index; a
+// connection whose HELLO fails aborts the phase in strict mode and is
+// dropped in quorum mode. It returns the slots (nil = absent) and how
+// many are present.
+//
+//dut:coldpath once-per-session accept and handshake validation
+func (s *RefereeServer) acceptSlots(ctx context.Context, l net.Listener, tr *connTracker, n int,
+	place func(Hello, []*batchSlot) (int, error)) ([]*batchSlot, int, error) {
 	if !s.strict() {
 		dl, ok := l.(acceptDeadliner)
 		if !ok {
-			return nil, fmt.Errorf("network: quorum mode needs a listener with accept deadlines (have %T)", l)
+			return nil, 0, fmt.Errorf("network: quorum mode needs a listener with accept deadlines (have %T)", l)
 		}
 		//lint:ignore dut/nondeterminism net deadlines need an absolute instant; bounds the accept wait, never the verdict
 		_ = dl.SetDeadline(time.Now().Add(s.timeout))
 		defer func() { _ = dl.SetDeadline(time.Time{}) }()
 	}
-	slots := make([]*playerSlot, 0, s.k)
-	seen := make([]bool, s.k)
-	for len(slots) < s.k {
+	slots := make([]*batchSlot, n)
+	present := 0
+	for present < n {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		conn, err := l.Accept()
 		if err != nil {
 			if !s.strict() && errors.Is(err, os.ErrDeadlineExceeded) {
-				if len(slots) >= s.minVotes {
-					return slots, nil
-				}
-				return nil, fmt.Errorf("network: quorum not met: %d of %d players connected before the accept deadline, need %d",
-					len(slots), s.k, s.minVotes)
+				return slots, present, nil
 			}
-			return nil, fmt.Errorf("network: accept: %w", err)
+			return nil, 0, fmt.Errorf("network: accept: %w", err)
 		}
 		tr.track(conn)
 		setDeadline(conn, s.timeout)
 		hello, err := expectFrame[Hello](conn, FrameHello)
 		if err != nil {
 			if s.strict() {
-				return nil, fmt.Errorf("network: hello: %w", err)
+				return nil, 0, fmt.Errorf("network: hello: %w", err)
 			}
 			_ = conn.Close()
 			continue
 		}
-		if err := s.validateHello(hello, seen); err != nil {
+		i, err := place(hello, slots)
+		if err != nil {
 			if s.strict() {
-				return nil, err
+				return nil, 0, err
 			}
 			_ = conn.Close()
 			continue
 		}
-		seen[hello.Player] = true
-		slots = append(slots, &playerSlot{conn: conn, player: hello.Player, bits: hello.Bits})
+		slots[i] = newBatchSlot(conn, hello.Player)
+		present++
 	}
-	return slots, nil
+	return slots, present, nil
 }
 
-// gatherVotes broadcasts ROUND to every live slot and collects votes
-// concurrently. Votes are indexed by player id (ids are validated unique
-// and in range at HELLO time), with got marking which arrived. A slot
-// that fails — write error, timeout, id mismatch, or a message wider
-// than its announced bits — aborts the round in strict mode; in quorum
-// mode it is closed, marked dead and skipped from then on.
-func (s *RefereeServer) gatherVotes(seed uint64, slots []*playerSlot, votes []core.Message, got []bool) error {
-	for i := range votes {
-		votes[i] = 0
-		got[i] = false
+// acceptPlayers is the flat root's accept phase: slots indexed by
+// player id, and in quorum mode at least minVotes of the k players
+// present once the accept deadline passes.
+func (s *RefereeServer) acceptPlayers(ctx context.Context, l net.Listener, tr *connTracker) ([]*batchSlot, error) {
+	slots, present, err := s.acceptSlots(ctx, l, tr, s.k, s.placePlayer)
+	if err != nil {
+		return nil, err
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(sl *playerSlot, err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		sl.dead = true
-		mu.Unlock()
-		_ = sl.conn.Close()
+	if present < s.minVotes {
+		return nil, fmt.Errorf("network: quorum not met: %d of %d players connected before the accept deadline, need %d",
+			present, s.k, s.minVotes)
 	}
-	for _, sl := range slots {
-		if sl.dead {
-			continue
-		}
-		wg.Add(1)
-		go func(sl *playerSlot) {
-			defer wg.Done()
-			setDeadline(sl.conn, s.timeout)
-			if err := WriteRound(sl.conn, Round{Seed: seed}); err != nil {
-				fail(sl, fmt.Errorf("network: round to player %d: %w", sl.player, err))
-				return
-			}
-			vote, err := expectFrame[Vote](sl.conn, FrameVote)
-			if err != nil {
-				fail(sl, fmt.Errorf("network: vote from player %d: %w", sl.player, err))
-				return
-			}
-			if vote.Player != sl.player {
-				fail(sl, fmt.Errorf("network: vote claims player %d on player %d's connection", vote.Player, sl.player))
-				return
-			}
-			if sl.bits < 64 && vote.Message >= 1<<sl.bits {
-				fail(sl, fmt.Errorf("network: player %d sent message %#x wider than its announced %d bit(s)",
-					sl.player, vote.Message, sl.bits))
-				return
-			}
-			votes[sl.player] = core.Message(vote.Message)
-			got[sl.player] = true
-		}(sl)
-	}
-	wg.Wait()
-	if s.strict() && firstErr != nil {
-		return firstErr
-	}
-	return nil
+	return slots, nil
 }
 
 // decideVotes checks the quorum and applies the decision function, with
@@ -345,79 +300,6 @@ func (s *RefereeServer) decideVotes(votes []core.Message, got []bool) (bool, int
 		return false, received, fmt.Errorf("network: referee decision: %w", err)
 	}
 	return accept, received, nil
-}
-
-// broadcastVerdict sends VERDICT to every live slot. The write deadline
-// is refreshed per connection: the deadline set before vote gathering may
-// already be (nearly) consumed by a slow round, and reusing it makes the
-// broadcast fail spuriously.
-func (s *RefereeServer) broadcastVerdict(slots []*playerSlot, accept bool) error {
-	for _, sl := range slots {
-		if sl.dead {
-			continue
-		}
-		setDeadline(sl.conn, s.timeout)
-		if err := WriteVerdict(sl.conn, Verdict{Accept: accept}); err != nil {
-			if s.strict() {
-				return fmt.Errorf("network: verdict to player %d: %w", sl.player, err)
-			}
-			sl.dead = true
-			_ = sl.conn.Close()
-		}
-	}
-	return nil
-}
-
-// RunRoundStats accepts player connections on the listener, runs the
-// HELLO / ROUND / VOTE / VERDICT exchange with the given public-coin seed,
-// and returns the verdict together with the round's statistics. In strict
-// mode (the default) all k players are required; with WithMinVotes the
-// round tolerates stragglers down to the quorum. It closes every accepted
-// connection before returning; the listener itself stays open for further
-// rounds. ctx cancellation aborts the round.
-func (s *RefereeServer) RunRoundStats(ctx context.Context, l net.Listener, seed uint64) (bool, RoundStats, error) {
-	stats := RoundStats{}
-	if l == nil {
-		return false, stats, fmt.Errorf("network: nil listener")
-	}
-	sw := engine.StartStopwatch()
-	tr := &connTracker{}
-	defer tr.closeAll()
-	stop := tr.watch(ctx)
-	defer stop()
-
-	slots, err := s.acceptPlayers(ctx, l, tr)
-	if err != nil {
-		return false, stats, err
-	}
-	votes := make([]core.Message, s.k)
-	got := make([]bool, s.k)
-	if err := s.gatherVotes(seed, slots, votes, got); err != nil {
-		return false, stats, err
-	}
-	if err := ctx.Err(); err != nil {
-		return false, stats, err
-	}
-	accept, received, err := s.decideVotes(votes, got)
-	stats.Votes = received
-	stats.Stragglers = s.k - received
-	stats.Wall = sw.Elapsed()
-	if err != nil {
-		return false, stats, err
-	}
-	if err := s.broadcastVerdict(slots, accept); err != nil {
-		return false, stats, err
-	}
-	stats.Verdict = accept
-	stats.Wall = sw.Elapsed()
-	return accept, stats, nil
-}
-
-// RunRound is RunRoundStats without the statistics, kept for callers that
-// only need the verdict.
-func (s *RefereeServer) RunRound(ctx context.Context, l net.Listener, seed uint64) (bool, error) {
-	accept, _, err := s.RunRoundStats(ctx, l, seed)
-	return accept, err
 }
 
 func setDeadline(conn net.Conn, d time.Duration) {

@@ -225,22 +225,3 @@ func TestSessionCancellation(t *testing.T) {
 		t.Error("cancellation did not abort the session")
 	}
 }
-
-func TestRefereeSessionValidation(t *testing.T) {
-	s, err := NewRefereeServer(1, core.BitReferee{Rule: core.ANDRule{}}, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.RunSession(context.Background(), nil, []uint64{1}); err == nil {
-		t.Error("nil listener accepted")
-	}
-	m := NewMemTransport()
-	l, err := m.Listen()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = l.Close() }()
-	if _, err := s.RunSession(context.Background(), l, nil); err == nil {
-		t.Error("zero rounds accepted")
-	}
-}

@@ -13,9 +13,10 @@ const (
 	Magic = uint16(0xD07A)
 	// Version is the wire protocol version.
 	Version = uint8(1)
-	// MaxFrameSize bounds a single-round frame's payload; every legal
-	// single-round message is tiny. Batch frames have their own bound,
-	// derived from MaxBatchTrials (see maxPayload).
+	// MaxFrameSize bounds the payload of the fixed-size frames (HELLO,
+	// FINISH) and of any unknown type; both legal fixed-size payloads are
+	// tiny. Batch frames have their own bound, derived from
+	// MaxBatchTrials (see maxPayload).
 	MaxFrameSize = 64
 	// MaxBatchTrials bounds the trial count of one batch frame. It caps
 	// the memory a malicious length prefix can make the decoder allocate
@@ -43,13 +44,14 @@ const (
 // FrameType enumerates the message kinds. Values are wire-stable.
 type FrameType uint8
 
-// Frame types, in round order. The batch frames (6..8) are the
-// multi-trial counterparts of ROUND/VOTE/VERDICT: one frame carries up
-// to MaxBatchTrials trials, identified by a batch id the voter echoes.
-// VOTE_BATCH_R (9) is the r-bit generalization of VOTE_BATCH: r packed
-// bit-planes instead of one. VOTE_BATCH remains the canonical encoding
-// for 1-bit rules, so r = 1 sessions are byte-identical to the classic
-// protocol.
+// Frame types, in round order. Types 2..4 belonged to the retired
+// one-trial ROUND/VOTE/VERDICT exchange; they stay reserved, so
+// ReadFrame rejects them as unknown and no later frame reuses their
+// numbers. The batch frames (6..8) carry up to MaxBatchTrials trials
+// per frame, identified by a batch id the voter echoes; a single SMP
+// round is a batch of one. VOTE_BATCH_R (9) is the r-bit
+// generalization of VOTE_BATCH: r packed bit-planes instead of one.
+// VOTE_BATCH remains the canonical encoding for 1-bit rules.
 // The aggregator frames (10..13) carry the two hops of the two-tier
 // referee tree: AGG_HELLO announces an aggregator's shard membership,
 // AGG_SUM carries a shard's bit-sliced partial rejection / value sums
@@ -61,9 +63,10 @@ type FrameType uint8
 // before it relays the verdicts to its shard.
 const (
 	FrameHello FrameType = iota + 1
-	FrameRound
-	FrameVote
-	FrameVerdict
+	// 2..4: the retired ROUND, VOTE and VERDICT.
+	_
+	_
+	_
 	FrameFinish
 	FrameRoundBatch
 	FrameVoteBatch
@@ -80,12 +83,6 @@ func (t FrameType) String() string {
 	switch t {
 	case FrameHello:
 		return "HELLO"
-	case FrameRound:
-		return "ROUND"
-	case FrameVote:
-		return "VOTE"
-	case FrameVerdict:
-		return "VERDICT"
 	case FrameFinish:
 		return "FINISH"
 	case FrameRoundBatch:
@@ -115,23 +112,7 @@ type Hello struct {
 	Bits   uint8 // message bits the player's rule uses
 }
 
-// Round carries the public-coin seed for the round.
-type Round struct {
-	Seed uint64
-}
-
-// Vote carries the player's message to the referee.
-type Vote struct {
-	Player  uint32
-	Message uint64
-}
-
-// Verdict is the referee's broadcast decision.
-type Verdict struct {
-	Accept bool
-}
-
-// Finish tells a player the session is over (multi-round sessions only).
+// Finish tells a player the session is over.
 type Finish struct{}
 
 // RoundBatch carries the public-coin seeds of len(Seeds) consecutive
@@ -452,7 +433,7 @@ func checkAggVerdict(v AggVerdict) error {
 // frame layout: magic(2) version(1) type(1) length(4) payload(length).
 const headerSize = 8
 
-// maxPayload is the per-type payload bound: single-round frames stay
+// maxPayload is the per-type payload bound: fixed-size frames stay
 // within MaxFrameSize, batch frames within what MaxBatchTrials implies.
 func maxPayload(t FrameType) int {
 	switch t {
@@ -525,30 +506,6 @@ func WriteHello(w io.Writer, h Hello) error {
 	binary.BigEndian.PutUint32(p[0:4], h.Player)
 	p[4] = h.Bits
 	return writeFrame(w, FrameHello, p[:])
-}
-
-// WriteRound sends a ROUND frame.
-func WriteRound(w io.Writer, r Round) error {
-	var p [8]byte
-	binary.BigEndian.PutUint64(p[:], r.Seed)
-	return writeFrame(w, FrameRound, p[:])
-}
-
-// WriteVote sends a VOTE frame.
-func WriteVote(w io.Writer, v Vote) error {
-	var p [12]byte
-	binary.BigEndian.PutUint32(p[0:4], v.Player)
-	binary.BigEndian.PutUint64(p[4:12], v.Message)
-	return writeFrame(w, FrameVote, p[:])
-}
-
-// WriteVerdict sends a VERDICT frame.
-func WriteVerdict(w io.Writer, v Verdict) error {
-	p := []byte{0}
-	if v.Accept {
-		p[0] = 1
-	}
-	return writeFrame(w, FrameVerdict, p)
 }
 
 // WriteFinish sends a FINISH frame.
@@ -840,29 +797,6 @@ func ReadFrame(r io.Reader) (FrameType, any, error) {
 			return 0, nil, fmt.Errorf("network: HELLO payload of %d bytes", len(payload))
 		}
 		return t, Hello{Player: binary.BigEndian.Uint32(payload[0:4]), Bits: payload[4]}, nil
-	case FrameRound:
-		if len(payload) != 8 {
-			return 0, nil, fmt.Errorf("network: ROUND payload of %d bytes", len(payload))
-		}
-		return t, Round{Seed: binary.BigEndian.Uint64(payload)}, nil
-	case FrameVote:
-		if len(payload) != 12 {
-			return 0, nil, fmt.Errorf("network: VOTE payload of %d bytes", len(payload))
-		}
-		return t, Vote{
-			Player:  binary.BigEndian.Uint32(payload[0:4]),
-			Message: binary.BigEndian.Uint64(payload[4:12]),
-		}, nil
-	case FrameVerdict:
-		if len(payload) != 1 {
-			return 0, nil, fmt.Errorf("network: VERDICT payload of %d bytes", len(payload))
-		}
-		// Strict encoding: only 0 and 1 are legal. Anything else is a
-		// corrupted or malicious frame, not a reject vote.
-		if payload[0] > 1 {
-			return 0, nil, fmt.Errorf("network: malformed VERDICT byte %#x", payload[0])
-		}
-		return t, Verdict{Accept: payload[0] == 1}, nil
 	case FrameFinish:
 		if len(payload) != 0 {
 			return 0, nil, fmt.Errorf("network: FINISH payload of %d bytes", len(payload))

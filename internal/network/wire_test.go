@@ -4,56 +4,47 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 func TestFrameRoundTrips(t *testing.T) {
+	frames := []any{
+		Hello{Player: 7, Bits: 3},
+		RoundBatch{Batch: 2, Seeds: []uint64{0xdeadbeefcafe}},
+		VoteBatch{Player: 7, Batch: 2, Count: 1, Bits: []uint64{1}},
+		VerdictBatch{Batch: 2, Count: 1, Bits: []uint64{1}},
+		VerdictBatch{Batch: 2, Count: 1, Bits: []uint64{0}},
+		Finish{},
+	}
 	var buf bytes.Buffer
-	if err := WriteHello(&buf, Hello{Player: 7, Bits: 3}); err != nil {
-		t.Fatal(err)
+	for _, f := range frames {
+		var err error
+		switch m := f.(type) {
+		case Hello:
+			err = WriteHello(&buf, m)
+		case RoundBatch:
+			err = WriteRoundBatch(&buf, m)
+		case VoteBatch:
+			err = WriteVoteBatch(&buf, m)
+		case VerdictBatch:
+			err = WriteVerdictBatch(&buf, m)
+		case Finish:
+			err = WriteFinish(&buf)
+		}
+		if err != nil {
+			t.Fatalf("write %+v: %v", f, err)
+		}
 	}
-	if err := WriteRound(&buf, Round{Seed: 0xdeadbeefcafe}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteVote(&buf, Vote{Player: 7, Message: 42}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteVerdict(&buf, Verdict{Accept: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteVerdict(&buf, Verdict{Accept: false}); err != nil {
-		t.Fatal(err)
-	}
-
-	typ, msg, err := ReadFrame(&buf)
-	if err != nil || typ != FrameHello {
-		t.Fatalf("hello: %v %v %v", typ, msg, err)
-	}
-	if h := msg.(Hello); h.Player != 7 || h.Bits != 3 {
-		t.Errorf("hello = %+v", h)
-	}
-	typ, msg, err = ReadFrame(&buf)
-	if err != nil || typ != FrameRound {
-		t.Fatalf("round: %v %v", typ, err)
-	}
-	if r := msg.(Round); r.Seed != 0xdeadbeefcafe {
-		t.Errorf("round = %+v", r)
-	}
-	typ, msg, err = ReadFrame(&buf)
-	if err != nil || typ != FrameVote {
-		t.Fatalf("vote: %v %v", typ, err)
-	}
-	if v := msg.(Vote); v.Player != 7 || v.Message != 42 {
-		t.Errorf("vote = %+v", v)
-	}
-	typ, msg, err = ReadFrame(&buf)
-	if err != nil || typ != FrameVerdict || !msg.(Verdict).Accept {
-		t.Fatalf("verdict true: %v %v %v", typ, msg, err)
-	}
-	typ, msg, err = ReadFrame(&buf)
-	if err != nil || typ != FrameVerdict || msg.(Verdict).Accept {
-		t.Fatalf("verdict false: %v %v %v", typ, msg, err)
+	for _, want := range frames {
+		_, got, err := ReadFrame(&buf)
+		if err != nil {
+			t.Fatalf("read %+v: %v", want, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("frame = %+v, want %+v", got, want)
+		}
 	}
 }
 
@@ -66,7 +57,7 @@ func TestReadFrameRejectsBadMagic(t *testing.T) {
 
 func TestReadFrameRejectsBadVersion(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteVerdict(&buf, Verdict{}); err != nil {
+	if err := WriteFinish(&buf); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -80,7 +71,7 @@ func TestReadFrameRejectsOversized(t *testing.T) {
 	var header [8]byte
 	binary.BigEndian.PutUint16(header[0:2], Magic)
 	header[2] = Version
-	header[3] = byte(FrameVote)
+	header[3] = byte(FrameHello)
 	binary.BigEndian.PutUint32(header[4:8], MaxFrameSize+1)
 	if _, _, err := ReadFrame(bytes.NewReader(header[:])); err == nil || !strings.Contains(err.Error(), "oversized") {
 		t.Errorf("oversized: %v", err)
@@ -89,7 +80,7 @@ func TestReadFrameRejectsOversized(t *testing.T) {
 
 func TestReadFrameRejectsTruncatedPayload(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteVote(&buf, Vote{Player: 1, Message: 2}); err != nil {
+	if err := WriteHello(&buf, Hello{Player: 1, Bits: 2}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -101,75 +92,100 @@ func TestReadFrameRejectsTruncatedPayload(t *testing.T) {
 	}
 }
 
+// rawFrame is a well-formed header of the given type and payload size
+// followed by a zero payload.
+func rawFrame(t FrameType, size int) []byte {
+	var header [8]byte
+	binary.BigEndian.PutUint16(header[0:2], Magic)
+	header[2] = Version
+	header[3] = byte(t)
+	binary.BigEndian.PutUint32(header[4:8], uint32(size))
+	return append(header[:], make([]byte, size)...)
+}
+
 func TestReadFrameRejectsWrongPayloadSizes(t *testing.T) {
-	mk := func(t FrameType, size int) []byte {
-		var header [8]byte
-		binary.BigEndian.PutUint16(header[0:2], Magic)
-		header[2] = Version
-		header[3] = byte(t)
-		binary.BigEndian.PutUint32(header[4:8], uint32(size))
-		return append(header[:], make([]byte, size)...)
-	}
 	for _, tt := range []struct {
 		t    FrameType
 		size int
 	}{
-		{FrameHello, 4}, {FrameRound, 7}, {FrameVote, 11}, {FrameVerdict, 2},
+		{FrameHello, 4}, {FrameHello, 6}, {FrameFinish, 1}, {FrameRoundBatch, 7}, {FrameVerdictBatch, 9},
 	} {
-		if _, _, err := ReadFrame(bytes.NewReader(mk(tt.t, tt.size))); err == nil {
+		if _, _, err := ReadFrame(bytes.NewReader(rawFrame(tt.t, tt.size))); err == nil {
 			t.Errorf("%v with %d-byte payload accepted", tt.t, tt.size)
 		}
 	}
-	if _, _, err := ReadFrame(bytes.NewReader(mk(FrameType(9), 0))); err == nil {
+	if _, _, err := ReadFrame(bytes.NewReader(rawFrame(FrameType(99), 0))); err == nil {
 		t.Error("unknown frame type accepted")
 	}
 }
 
-func TestReadFrameRejectsMalformedVerdictByte(t *testing.T) {
-	// Regression: only 0x00 and 0x01 are legal VERDICT encodings; any
-	// other byte used to decode silently as Accept=false.
-	for _, b := range []byte{2, 3, 0x7F, 0xFF} {
-		var header [8]byte
-		binary.BigEndian.PutUint16(header[0:2], Magic)
-		header[2] = Version
-		header[3] = byte(FrameVerdict)
-		binary.BigEndian.PutUint32(header[4:8], 1)
-		frame := append(header[:], b)
-		if _, _, err := ReadFrame(bytes.NewReader(frame)); err == nil || !strings.Contains(err.Error(), "VERDICT") {
-			t.Errorf("VERDICT byte %#x: err = %v, want malformed-verdict error", b, err)
+func TestReadFrameRejectsRetiredTypes(t *testing.T) {
+	// Types 2..4 carried the retired one-trial ROUND/VOTE/VERDICT
+	// exchange. Their numbers stay reserved and decode as unknown, at
+	// every payload size their old encodings used.
+	for _, tt := range []struct {
+		t    FrameType
+		size int
+	}{
+		{2, 8}, {3, 12}, {4, 1},
+	} {
+		_, _, err := ReadFrame(bytes.NewReader(rawFrame(tt.t, tt.size)))
+		if err == nil || !strings.Contains(err.Error(), "unknown frame type") {
+			t.Errorf("retired type %d: err = %v, want unknown-frame-type error", uint8(tt.t), err)
+		}
+		if name := tt.t.String(); !strings.Contains(name, "FrameType(") {
+			t.Errorf("retired type %d has name %q", uint8(tt.t), name)
 		}
 	}
-	// The two legal bytes still decode.
-	for b, want := range map[byte]bool{0: false, 1: true} {
+}
+
+func TestReadFrameRejectsMalformedVerdictByte(t *testing.T) {
+	// Regression: only the legal verdict encodings may decode. A
+	// VERDICT_BATCH bit set above the trial count is a corrupted or
+	// malicious frame, not a verdict for a trial that does not exist.
+	for _, pad := range []uint64{2, 0x80, 1 << 63} {
 		var buf bytes.Buffer
-		if err := WriteVerdict(&buf, Verdict{Accept: want}); err != nil {
+		if err := WriteVerdictBatch(&buf, VerdictBatch{Batch: 1, Count: 1, Bits: []uint64{1}}); err != nil {
+			t.Fatal(err)
+		}
+		raw := buf.Bytes()
+		word := binary.BigEndian.Uint64(raw[len(raw)-8:])
+		binary.BigEndian.PutUint64(raw[len(raw)-8:], word|pad)
+		if _, _, err := ReadFrame(bytes.NewReader(raw)); err == nil || !strings.Contains(err.Error(), "VERDICT_BATCH") {
+			t.Errorf("VERDICT_BATCH padding %#x: err = %v, want malformed-verdict error", pad, err)
+		}
+	}
+	// The two legal verdicts still decode.
+	for _, want := range []uint64{0, 1} {
+		var buf bytes.Buffer
+		if err := WriteVerdictBatch(&buf, VerdictBatch{Batch: 1, Count: 1, Bits: []uint64{want}}); err != nil {
 			t.Fatal(err)
 		}
 		typ, msg, err := ReadFrame(&buf)
-		if err != nil || typ != FrameVerdict || msg.(Verdict).Accept != want {
-			t.Errorf("VERDICT byte %#x: (%v, %v, %v)", b, typ, msg, err)
+		if err != nil || typ != FrameVerdictBatch || msg.(VerdictBatch).Bits[0] != want {
+			t.Errorf("VERDICT_BATCH bit %d: (%v, %v, %v)", want, typ, msg, err)
 		}
 	}
 }
 
 func TestExpectFrameTypeMismatch(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteRound(&buf, Round{Seed: 1}); err != nil {
+	if err := WriteRoundBatch(&buf, RoundBatch{Batch: 1, Seeds: []uint64{1}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := expectFrame[Vote](&buf, FrameVote); err == nil {
+	if _, err := expectFrame[VoteBatch](&buf, FrameVoteBatch); err == nil {
 		t.Error("type mismatch accepted")
 	}
 }
 
 func TestWriteFrameRejectsHugePayload(t *testing.T) {
-	if err := writeFrame(io.Discard, FrameVote, make([]byte, MaxFrameSize+1)); err == nil {
+	if err := writeFrame(io.Discard, FrameHello, make([]byte, MaxFrameSize+1)); err == nil {
 		t.Error("oversized write accepted")
 	}
 }
 
 func TestFrameTypeString(t *testing.T) {
-	if FrameHello.String() != "HELLO" || FrameVerdict.String() != "VERDICT" {
+	if FrameHello.String() != "HELLO" || FrameVerdictBatch.String() != "VERDICT_BATCH" {
 		t.Error("frame names wrong")
 	}
 	if !strings.Contains(FrameType(77).String(), "77") {
