@@ -13,6 +13,7 @@ package dut
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"github.com/distributed-uniformity/dut/internal/boolfn"
@@ -130,23 +131,29 @@ func BenchmarkSamplers(b *testing.B) {
 	})
 }
 
+// BenchmarkCollisionCount times the collision kernel at the (n, q)
+// shapes of the benchmark workloads: the E22 quantized rule (64, 4), the
+// CONGEST grid (1024, 42) and the E1 threshold rule (4096, 322).
 func BenchmarkCollisionCount(b *testing.B) {
-	const n = 1 << 12
-	q := centralized.RecommendedSamples(n, 0.5)
-	u, err := dist.Uniform(n)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s, err := dist.NewAliasSampler(u)
-	if err != nil {
-		b.Fatal(err)
-	}
-	samples := dist.SampleN(s, q, NewRand(4))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := centralized.CollisionCount(samples, n); err != nil {
-			b.Fatal(err)
-		}
+	for _, shape := range []struct{ n, q int }{{64, 4}, {1024, 42}, {4096, 322}} {
+		b.Run(fmt.Sprintf("n=%d/q=%d", shape.n, shape.q), func(b *testing.B) {
+			u, err := dist.Uniform(shape.n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, err := dist.NewAliasSampler(u)
+			if err != nil {
+				b.Fatal(err)
+			}
+			samples := dist.SampleN(s, shape.q, NewRand(4))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := centralized.CollisionCount(samples, shape.n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

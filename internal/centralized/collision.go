@@ -3,22 +3,62 @@ package centralized
 import (
 	"fmt"
 	"math"
-
-	"github.com/distributed-uniformity/dut/internal/dist"
+	"sync"
 )
 
+// counters is a zeroed per-element count array, reused across kernel
+// calls through counterPool. Every call resets exactly the entries it
+// touched before putting the array back, so the pool only ever holds
+// zeroed arrays and a call's cost is O(q), independent of the domain.
+type counters struct{ h []int64 }
+
+var counterPool sync.Pool
+
 // CollisionCount returns the number of colliding sample pairs,
-// sum_i C(c_i, 2) over the histogram counts c_i, computed in O(q + n) time.
+// sum_i C(c_i, 2) over the histogram counts c_i, computed in O(q) time
+// with no allocation once the pooled counters cover the domain.
+//
+//dut:hotpath every collision-based local rule evaluates this per player per trial
 func CollisionCount(samples []int, n int) (int64, error) {
-	h, err := dist.Histogram(samples, n)
-	if err != nil {
-		return 0, fmt.Errorf("centralized: %w", err)
+	return CountCollisions(samples, n)
+}
+
+// CountCollisions is CollisionCount over any integer sample type: the
+// one collision kernel, shared by the sample-based testers, both
+// collision local rules and the ACT referee's bucket messages. Each
+// sample s adds the count of earlier copies of s, h[s], before h[s] is
+// incremented, so the running sum is sum_i C(c_i, 2) without ever
+// scanning the domain.
+func CountCollisions[S ~int | ~uint64](samples []S, n int) (int64, error) {
+	size := max(n, 0)
+	c, _ := counterPool.Get().(*counters)
+	if c == nil || len(c.h) < size {
+		// Pool miss or a domain larger than the pooled array: the only
+		// allocation, amortized over every later call at this size.
+		c = new(counters)
+		c.h = make([]int64, size)
 	}
+	h := c.h[:size]
 	var coll int64
-	for _, c := range h {
-		coll += c * (c - 1) / 2
+	for i, s := range samples {
+		if uint64(s) >= uint64(size) {
+			release(c, h, samples[:i])
+			return 0, fmt.Errorf("centralized: dist: sample %d outside domain of size %d", s, n)
+		}
+		coll += h[s]
+		h[s]++
 	}
+	release(c, h, samples)
 	return coll, nil
+}
+
+// release zeroes the counters the touched samples incremented and
+// returns the array to the pool.
+func release[S ~int | ~uint64](c *counters, h []int64, touched []S) {
+	for _, s := range touched {
+		h[s] = 0
+	}
+	counterPool.Put(c)
 }
 
 // CollisionStatistic adapts CollisionCount to the Statistic type for a

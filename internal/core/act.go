@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
+
+	"github.com/distributed-uniformity/dut/internal/centralized"
 )
 
 // HashRule is the public-coin local rule of the single-sample tester in the
@@ -136,19 +138,12 @@ func NewCollisionReferee(n, buckets, k int, eps float64) (*CollisionReferee, err
 // Threshold returns the acceptance threshold on the collision count.
 func (r *CollisionReferee) Threshold() float64 { return r.threshold }
 
-// Decide implements Referee.
+// Decide implements Referee: the bucket messages go through the same
+// O(k) collision kernel as the players' samples.
 func (r *CollisionReferee) Decide(msgs []Message) (bool, error) {
-	counts := make([]int64, r.buckets)
-	for _, m := range msgs {
-		b := uint64(m)
-		if b >= uint64(r.buckets) {
-			return false, fmt.Errorf("core: bucket message %d out of range %d", b, r.buckets)
-		}
-		counts[b]++
-	}
-	var coll int64
-	for _, c := range counts {
-		coll += c * (c - 1) / 2
+	coll, err := centralized.CountCollisions(msgs, r.buckets)
+	if err != nil {
+		return false, fmt.Errorf("core: bucket messages: %w", err)
 	}
 	return float64(coll) <= r.threshold, nil
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"github.com/distributed-uniformity/dut/internal/core"
+	"github.com/distributed-uniformity/dut/internal/dist"
 	"github.com/distributed-uniformity/dut/internal/engine"
 )
 
@@ -83,5 +84,52 @@ func TestSMPScratchRoundAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("scratch round allocates %.2f per round, want 0", allocs)
+	}
+}
+
+// TestSMPScratchRoundAllocsFMO is TestSMPScratchRoundAllocs with the
+// paper's real tester instead of a constant rule: the FMO threshold
+// tester at the E1 shape, whose every player runs the collision kernel.
+func TestSMPScratchRoundAllocsFMO(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const n = 4096
+	p, err := core.NewThresholdTester(core.ThresholdTesterConfig{N: n, K: 64, Q: 322, Eps: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := core.BackendFor(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sb, ok := b.(engine.ScratchBackend)
+	if !ok {
+		t.Fatal("SMP backend does not implement engine.ScratchBackend")
+	}
+	u, err := dist.Uniform(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := engine.FromDist(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampler, err := src(0, engine.TrialRNG(xbSeed, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch := sb.NewScratch()
+	ctx := context.Background()
+	trial := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		spec := engine.RoundSpec{Trial: trial, Seed: xbSeed, Sampler: sampler}
+		trial++
+		if _, err := sb.RunRoundScratch(ctx, spec, scratch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("FMO scratch round allocates %.2f per round, want 0", allocs)
 	}
 }

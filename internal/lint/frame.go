@@ -14,9 +14,10 @@ import (
 // deadline that sampling or rule evaluation has already consumed. It
 // flags raw conn.Write/conn.Read calls outside the encoder and outside
 // Write/Read wrapper methods, binary.Write/binary.Read anywhere in scope,
-// frame reads (ReadFrame/expectFrame) with no earlier deadline call in
-// the same function, and frame writes after a SampleInto or rule Message
-// call since the last deadline refresh.
+// frame reads (ReadFrame, expectFrame, decodeFrame, expectFrameInto)
+// with no earlier deadline call in the same function, and frame writes
+// after a SampleInto or rule Message call since the last deadline
+// refresh.
 var AnalyzerFrameDiscipline = &Analyzer{
 	Name: "dut/framediscipline",
 	Doc:  "raw conn writes, binary.Write/Read, and deadline-less or stale-deadline frame IO",
@@ -36,7 +37,9 @@ var (
 		"setReadDeadline": true, "setWriteDeadline": true,
 	}
 	frameReadCalls = map[string]bool{
-		"ReadFrame": true, "readFrame": true, "expectFrame": true,
+		"ReadFrame": true, "expectFrame": true,
+		// The read loops' reused-reader entry points into the same decoder.
+		"decodeFrame": true, "expectFrameInto": true,
 	}
 	frameWriteCalls = map[string]bool{
 		"WriteHello": true, "WriteFinish": true, "writeFrame": true,

@@ -1,5 +1,5 @@
 // Package fixture exercises dut/wireexhaustive: every FrameType
-// constant needs an encoder, a validating ReadFrame decoder case, fuzz
+// constant needs an encoder, a validating decodeFrame case, fuzz
 // round-trip and malformed-input seeds, and a dut/framediscipline
 // writer-set entry. FrameHello is fully covered; each other frame is
 // missing exactly one piece.
@@ -11,7 +11,7 @@ type FrameType uint8
 const (
 	FrameHello        FrameType = 1
 	FrameRoundBatch   FrameType = 2 // want "has no encoder"
-	FrameVoteBatch    FrameType = 3 // want "has no ReadFrame decoder case"
+	FrameVoteBatch    FrameType = 3 // want "has no decodeFrame decoder case"
 	FrameVerdictBatch FrameType = 4 // want "decoder case performs no validation"
 	FrameFinish       FrameType = 5 // want "no FuzzFrame round-trip seed"
 	FrameBogus        FrameType = 6 // want "missing from the dut/framediscipline writer set" "no malformed-input fuzz seed"
@@ -24,8 +24,8 @@ func WriteVerdictBatch(buf []byte) []byte { return append(buf, byte(FrameVerdict
 func WriteFinish(buf []byte) []byte       { return append(buf, byte(FrameFinish)) }
 func WriteBogus(buf []byte) []byte        { return append(buf, byte(FrameBogus)) }
 
-// ReadFrame decodes one frame; every covered case must validate.
-func ReadFrame(t FrameType, payload []byte) error {
+// decodeFrame decodes one frame; every covered case must validate.
+func decodeFrame(t FrameType, payload []byte) error {
 	switch t {
 	case FrameHello:
 		return checkHello(payload)

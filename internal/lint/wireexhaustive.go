@@ -14,8 +14,9 @@ import (
 
 // AnalyzerWireExhaustive verifies closure of the wire-frame registry: for
 // every FrameType constant the package declares, there must be an
-// encoder (Write<Name> or Append<Name>), a ReadFrame decoder case with
-// validation errors, a FuzzFrame round-trip seed (the fuzz harness
+// encoder (Write<Name> or Append<Name>), a decoder case with validation
+// errors in decodeFrame (the one decoder ReadFrame and every read loop
+// share), a FuzzFrame round-trip seed (the fuzz harness
 // encodes a valid frame of the type), a malformed-input seed (a raw
 // f.Add byte literal carrying the frame's type byte), and a
 // dut/framediscipline writer entry — so the next AGG_*-style frame
@@ -37,8 +38,8 @@ func runWireExhaustive(p *Pass) error {
 		return nil
 	}
 
-	readFrame := p.findFuncDecl("ReadFrame")
-	caseFor, validated := decoderCases(p, readFrame)
+	decoder := p.findFuncDecl(decoderFunc)
+	caseFor, validated := decoderCases(p, decoder)
 	roundTrip, malformed, err := fuzzSeeds(p)
 	if err != nil {
 		return err
@@ -59,14 +60,14 @@ func runWireExhaustive(p *Pass) error {
 		} else if !frameWriteCalls[encoder] && !frameWriteCalls["Write"+fr.base] {
 			p.Reportf(fr.obj.Pos(), "%s encoder %s is missing from the dut/framediscipline writer set (frameWriteCalls)", fr.name, encoder)
 		}
-		if readFrame != nil {
+		if decoder != nil {
 			if !caseFor[fr.obj] {
-				p.Reportf(fr.obj.Pos(), "%s has no ReadFrame decoder case", fr.name)
+				p.Reportf(fr.obj.Pos(), "%s has no %s decoder case", fr.name, decoderFunc)
 			} else if !validated[fr.obj] {
 				p.Reportf(fr.obj.Pos(), "%s decoder case performs no validation (no error construction or check* call)", fr.name)
 			}
 		} else {
-			p.Reportf(fr.obj.Pos(), "%s is declared but the package has no ReadFrame decoder", fr.name)
+			p.Reportf(fr.obj.Pos(), "%s is declared but the package has no %s decoder", fr.name, decoderFunc)
 		}
 		if !roundTrip[fr.base] {
 			p.Reportf(fr.obj.Pos(), "%s has no FuzzFrame round-trip seed (no Write%s/Append%s call in a Fuzz function)", fr.name, fr.base, fr.base)
@@ -126,16 +127,20 @@ func (p *Pass) findFuncDecl(name string) *ast.FuncDecl {
 	return nil
 }
 
-// decoderCases maps each frame constant to whether ReadFrame has a case
-// for it and whether that case validates (constructs an error or calls
-// a check* helper).
-func decoderCases(p *Pass, readFrame *ast.FuncDecl) (caseFor, validated map[types.Object]bool) {
+// decoderFunc names the package's one frame decoder, the function whose
+// switch must hold a validating case for every frame type.
+const decoderFunc = "decodeFrame"
+
+// decoderCases maps each frame constant to whether the decoder has a
+// case for it and whether that case validates (constructs an error or
+// calls a check* helper).
+func decoderCases(p *Pass, decoder *ast.FuncDecl) (caseFor, validated map[types.Object]bool) {
 	caseFor = map[types.Object]bool{}
 	validated = map[types.Object]bool{}
-	if readFrame == nil {
+	if decoder == nil {
 		return caseFor, validated
 	}
-	ast.Inspect(readFrame.Body, func(n ast.Node) bool {
+	ast.Inspect(decoder.Body, func(n ast.Node) bool {
 		clause, ok := n.(*ast.CaseClause)
 		if !ok {
 			return true

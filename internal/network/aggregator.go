@@ -126,8 +126,9 @@ type aggregator struct {
 	members  []uint32 // ascending player ids, from Topology.Partition
 	listener net.Listener
 
-	root  net.Conn
-	slots []*batchSlot // by shard position; nil = absent (quorum mode)
+	root   net.Conn
+	rootRd frameReader  // readRoot's decode scratch, reused for every root frame
+	slots  []*batchSlot // by shard position; nil = absent (quorum mode)
 
 	pending    *aggBatchQueue
 	readerDone chan struct{}
@@ -285,26 +286,30 @@ func (a *aggregator) connectRoot(addr net.Addr, present uint32) error {
 // so relaying batch n+1 never waits on gathering batch n. Verdicts
 // arrive as AGG_VERDICT — one frame per batch carrying the packed
 // verdicts for the whole tree — and are audited against the oldest
-// unanswered reduction before the shard sees a byte of them. The
-// pending queue is closed on exit (FINISH or failure), which is what
-// ends the reduce loop.
+// unanswered reduction before the shard sees a byte of them. Frames
+// decode into the loop's own reader, and each is relayed (copied into
+// the member queues) before the next decode. The pending queue is
+// closed on exit (FINISH or failure), which is what ends the reduce
+// loop.
 //
 //dut:hotpath per-batch downstream relay loop
 func (a *aggregator) readRoot() {
 	defer close(a.readerDone)
 	defer a.pending.close()
 	bs := a.bs
+	fr := &a.rootRd
 	for {
 		// A root frame can lag a whole decide phase; budget two timeouts,
 		// like every other cross-phase read.
 		setReadDeadline(a.root, 2*bs.server.timeout)
-		kind, msg, err := ReadFrame(a.root)
+		kind, err := decodeFrame(a.root, fr)
 		if err != nil {
 			a.fail(fmt.Errorf("network: aggregator %d read: %w", a.id, err))
 			return
 		}
-		switch m := msg.(type) {
-		case RoundBatch:
+		switch kind {
+		case FrameRoundBatch:
+			m := fr.roundBatch()
 			relay, err := AppendRoundBatch(a.relay[:0], m)
 			a.relay = relay
 			if err != nil {
@@ -313,12 +318,12 @@ func (a *aggregator) readRoot() {
 			}
 			broadcast(a.slots, relay)
 			a.pending.push(aggBatch{id: m.Batch, count: len(m.Seeds)})
-		case AggVerdict:
-			if err := a.relayVerdict(m); err != nil {
+		case FrameAggVerdict:
+			if err := a.relayVerdict(fr.aggVerdict()); err != nil {
 				a.fail(err)
 				return
 			}
-		case Finish:
+		case FrameFinish:
 			a.relay = AppendFinish(a.relay[:0])
 			broadcast(a.slots, a.relay)
 			closeQueues(a.slots)
@@ -750,7 +755,8 @@ func (bs *batchSession) validateAggHello(h AggHello, seen []bool) error {
 // the forwarded planes back into bs.deliv by player id, so the
 // per-trial fallback sees exactly the flat gather's delivery table.
 // It returns the number of player votes the tree received, summed
-// from the per-shard present-counts.
+// from the per-shard present-counts. The sums and planes alias each
+// slot's reader, which the next gather is the first to overwrite.
 func (bs *batchSession) gatherShards(batchID uint32, count int) int {
 	for i := range bs.deliv {
 		bs.deliv[i] = nil
@@ -777,11 +783,11 @@ func (bs *batchSession) gatherShards(batchID uint32, count int) int {
 			// (itself budgeted two timeouts) plus the reduction; budget three.
 			setReadDeadline(conn, 3*bs.server.timeout)
 			if shaped {
-				v, err := expectFrame[AggSum](conn, FrameAggSum)
-				if err != nil {
+				if err := expectFrameInto(conn, &slot.rd, FrameAggSum); err != nil {
 					bs.failSlot(slot, fmt.Errorf("network: reduced batch from aggregator %d: %w", agg, err))
 					return
 				}
+				v := slot.rd.aggSum()
 				if v.Agg != agg {
 					bs.failSlot(slot, fmt.Errorf("network: reduced batch claims aggregator %d on aggregator %d's connection", v.Agg, agg))
 					return
@@ -810,11 +816,11 @@ func (bs *batchSession) gatherShards(batchID uint32, count int) int {
 				bs.shardPresent[agg] = v.Present
 				bs.shardGot[agg] = true
 			} else {
-				v, err := expectFrame[AggPlanes](conn, FrameAggPlanes)
-				if err != nil {
+				if err := expectFrameInto(conn, &slot.rd, FrameAggPlanes); err != nil {
 					bs.failSlot(slot, fmt.Errorf("network: forwarded batch from aggregator %d: %w", agg, err))
 					return
 				}
+				v := slot.rd.aggPlanes()
 				if v.Agg != agg {
 					bs.failSlot(slot, fmt.Errorf("network: forwarded batch claims aggregator %d on aggregator %d's connection", v.Agg, agg))
 					return

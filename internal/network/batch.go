@@ -99,13 +99,17 @@ func (q *frameQueue) close() {
 
 // batchSlot is the referee side of one connection — a player at the
 // flat root or at an aggregator, an aggregator at the tree's root — with
-// its writer queue and its failure state. The writer, the gatherers and
-// the aggregator all touch the failure state, hence the lock.
+// its writer queue, its frame reader and its failure state. The writer,
+// the gatherers and the aggregator all touch the failure state, hence
+// the lock. Only the slot's current gather reads from the connection,
+// and a gathered frame is consumed before the next gather starts, so
+// its votes or sums may alias rd's scratch until then.
 type batchSlot struct {
 	conn       net.Conn
 	id         uint32 // player id; aggregator id at the tree's root
 	q          *frameQueue
 	writerDone chan struct{}
+	rd         frameReader
 
 	mu   sync.Mutex
 	dead bool
@@ -505,13 +509,8 @@ func (bs *batchSession) runSeeded(ctx context.Context, specs []engine.RoundSpec,
 		flights = append(flights, batchFlight{id: id, start: start, count: count})
 	}
 	bs.flights = flights
-	// Claim connect retries only when a flight will carry them; an empty
-	// chunk must leave them accumulated for the next chunk's stats.
 	retries := 0
-	if len(flights) > 0 {
-		retries = bs.takeRetries()
-	}
-	for _, fl := range flights {
+	for i, fl := range flights {
 		if err := ctx.Err(); err != nil {
 			return bs.chunkErr(err)
 		}
@@ -522,6 +521,13 @@ func (bs *batchSession) runSeeded(ctx context.Context, specs []engine.RoundSpec,
 		} else {
 			//lint:ignore dut/hotalloc one fail-hook method value per batch, amortized across the batch's trials like the gather goroutines it feeds
 			received = bs.gather(bs.slots, bs.deliv, fl.id, fl.count, bs.failSlot)
+		}
+		if i == 0 {
+			// Claim connect retries once the chunk's first batch is gathered:
+			// a node or aggregator records its retries before it serves its
+			// first frame, so every voter's retries are in by now. An empty
+			// chunk leaves them accumulated for the next chunk's stats.
+			retries = bs.takeRetries()
 		}
 		if bs.server.strict() && received < bs.c.k {
 			return bs.chunkErr(bs.firstSlotErr())
@@ -683,26 +689,21 @@ func (bs *batchSession) gather(slots []*batchSlot, deliv [][]uint64, batchID uin
 
 // readVotes reads one slot's vote batch and checks its echoes: the
 // connection's player id, the batch id, the trial count and the rule's
-// message width.
+// message width. The returned planes live in the slot's reader and stay
+// valid until its next read.
 func (bs *batchSession) readVotes(slot *batchSlot, batchID uint32, count int) ([]uint64, error) {
 	// The vote can lag the node's whole batch of sampling plus a queued
 	// verdict write; budget two timeouts, like every other cross-phase
 	// read.
 	setReadDeadline(slot.conn, 2*bs.server.timeout)
-	var vb VoteBatchR
+	want := FrameVoteBatchR
 	if bs.msgBits == 1 {
-		classic, err := expectFrame[VoteBatch](slot.conn, FrameVoteBatch)
-		if err != nil {
-			return nil, fmt.Errorf("network: vote batch from player %d: %w", slot.id, err)
-		}
-		vb = VoteBatchR{Player: classic.Player, Batch: classic.Batch, Count: classic.Count, Bits: 1, Planes: classic.Bits}
-	} else {
-		wide, err := expectFrame[VoteBatchR](slot.conn, FrameVoteBatchR)
-		if err != nil {
-			return nil, fmt.Errorf("network: vote batch from player %d: %w", slot.id, err)
-		}
-		vb = wide
+		want = FrameVoteBatch
 	}
+	if err := expectFrameInto(slot.conn, &slot.rd, want); err != nil {
+		return nil, fmt.Errorf("network: vote batch from player %d: %w", slot.id, err)
+	}
+	vb := slot.rd.voteBatchR() // a VOTE_BATCH reads as its one-plane VOTE_BATCH_R
 	switch {
 	case vb.Player != slot.id:
 		return nil, fmt.Errorf("network: vote batch claims player %d on player %d's connection", vb.Player, slot.id)

@@ -1,0 +1,128 @@
+package network
+
+import (
+	"net"
+	"testing"
+	"time"
+
+	"github.com/distributed-uniformity/dut/internal/core"
+)
+
+// noDeadlineConn drops every deadline call. net.Pipe arms a timer per
+// deadline, which would swamp an allocation count; without them a guard
+// measures the frame codec and the vote path alone.
+type noDeadlineConn struct{ net.Conn }
+
+func (noDeadlineConn) SetDeadline(time.Time) error      { return nil }
+func (noDeadlineConn) SetReadDeadline(time.Time) error  { return nil }
+func (noDeadlineConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestVoteCodecZeroAllocs guards one steady-state batch round trip on
+// MemTransport with the paper's real rules: the node's serve loop
+// decodes a ROUND_BATCH, samples, runs the collision rule on every
+// trial and encodes its VOTE_BATCH (1-bit FMO vote) or VOTE_BATCH_R
+// (Theorem 6.4's 3-bit quantized count); the referee slot's readVotes
+// decodes and checks it; the node then decodes the VERDICT_BATCH. With
+// deadlines excluded, none of it may allocate once the node's and the
+// slot's scratch are warm. Skipped under the race detector, whose
+// instrumentation allocates.
+func TestVoteCodecZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	quantized, err := core.NewQuantizedCollisionRule(64, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmo, err := core.NewThresholdTester(core.ThresholdTesterConfig{N: 1024, K: 64, Q: 42, Eps: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		n, q int
+		rule core.LocalRule
+	}{
+		{"VOTE_BATCH", 1024, 42, fmo.Local()},
+		{"VOTE_BATCH_R", 64, 4, quantized},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const (
+				player = 7
+				batch  = 5
+				count  = 64
+			)
+			node, err := NewPlayerNode(player, tc.q, tc.rule, uniformSampler(t, tc.n), time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := NewMemTransport()
+			l, err := tr.Listen()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = l.Close() }()
+			accepted := make(chan net.Conn, 1)
+			go func() {
+				c, err := l.Accept()
+				if err != nil {
+					close(accepted)
+					return
+				}
+				accepted <- c
+			}()
+			nc, err := tr.Dial(l.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			rc, ok := <-accepted
+			if !ok {
+				t.Fatal("accept failed")
+			}
+			nodeConn, refConn := noDeadlineConn{nc}, noDeadlineConn{rc}
+			defer func() { _ = nodeConn.Close(); _ = refConn.Close() }()
+			served := make(chan error, 1)
+			go func() { served <- node.serve(nodeConn) }()
+
+			server, err := NewRefereeServer(count, andReferee(), time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bs := &batchSession{server: server, msgBits: tc.rule.Bits()}
+			slot := newBatchSlot(refConn, player)
+			seeds := make([]uint64, count)
+			for i := range seeds {
+				seeds[i] = uint64(i)*0x9e3779b97f4a7c15 + 1
+			}
+			round, err := AppendRoundBatch(nil, RoundBatch{Batch: batch, Seeds: seeds})
+			if err != nil {
+				t.Fatal(err)
+			}
+			verdict, err := AppendVerdictBatch(nil, VerdictBatch{Batch: batch, Count: count, Bits: []uint64{^uint64(0)}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			step := func() {
+				if err := writeCoalesced(refConn, round); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := bs.readVotes(slot, batch, count); err != nil {
+					t.Fatal(err)
+				}
+				if err := writeCoalesced(refConn, verdict); err != nil {
+					t.Fatal(err)
+				}
+			}
+			step() // grows the node's vote and encode buffers and the slot's reader
+			if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+				t.Errorf("one node vote and slot readVotes allocate %.1f per batch, want 0", allocs)
+			}
+			if err := writeCoalesced(refConn, AppendFinish(nil)); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-served; err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}

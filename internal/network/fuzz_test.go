@@ -189,10 +189,57 @@ func FuzzFrame(f *testing.F) {
 		0, 0, 0, 0, 0, 0, 0, 1}) // AGG_VERDICT present over the shard cap
 	f.Add([]byte{0xD0, 0x7A, 1, 13, 0xFF, 0xFF, 0xFF, 0xFF}) // AGG_VERDICT huge length prefix
 
+	// Long frames that fill every slice of a reused reader's scratch —
+	// seeds, bitsets, planes, masks, member and present-count lists — so
+	// a frame decoded after them shows any stale-scratch bug (a short
+	// frame after a long one seeing the long one's tail).
+	long := longFrames(f)
+
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, msg, err := ReadFrame(bytes.NewReader(data))
+		in := bytes.NewReader(data)
+		typ, msg, err := ReadFrame(in)
+		// The same decoder through a reused reader that has just decoded
+		// every long frame must agree with ReadFrame, error text included.
+		fr := new(frameReader)
+		for _, lf := range long {
+			if _, err := decodeFrame(bytes.NewReader(lf), fr); err != nil {
+				t.Fatalf("long frame: %v", err)
+			}
+		}
+		rtyp, rerr := decodeFrame(bytes.NewReader(data), fr)
+		if (err == nil) != (rerr == nil) || (err != nil && err.Error() != rerr.Error()) {
+			t.Fatalf("reused reader error %v, ReadFrame error %v", rerr, err)
+		}
 		if err != nil {
 			return // rejects are fine; panics are not
+		}
+		if rtyp != typ || !reflect.DeepEqual(fr.value(rtyp), msg) {
+			t.Fatalf("reused reader decoded (%v, %+v), ReadFrame (%v, %+v)", rtyp, fr.value(rtyp), typ, msg)
+		}
+		// Consecutive frames on one stream through one reader: the
+		// accepted frame between long frames, twice over.
+		frame := data[:len(data)-in.Len()]
+		var stream []byte
+		for range 2 {
+			for _, lf := range long {
+				stream = append(stream, lf...)
+			}
+			stream = append(stream, frame...)
+		}
+		sr, fr := bytes.NewReader(stream), new(frameReader)
+		for range 2 {
+			for range long {
+				if _, err := decodeFrame(sr, fr); err != nil {
+					t.Fatalf("long frame in stream: %v", err)
+				}
+			}
+			styp, err := decodeFrame(sr, fr)
+			if err != nil {
+				t.Fatalf("accepted frame fails in a stream: %v", err)
+			}
+			if styp != typ || !reflect.DeepEqual(fr.value(styp), msg) {
+				t.Fatalf("stream decoded (%v, %+v), ReadFrame (%v, %+v)", styp, fr.value(styp), typ, msg)
+			}
 		}
 		// Accepted frames must round-trip.
 		var buf bytes.Buffer
@@ -274,4 +321,49 @@ func FuzzFrame(f *testing.F) {
 			t.Fatalf("round trip changed frame: (%v, %+v) -> (%v, %+v)", typ, msg, typ2, msg2)
 		}
 	})
+}
+
+// longFrames encodes one large valid frame of every type that carries
+// slices, each filled with set bits wherever the layout allows.
+func longFrames(f *testing.F) [][]byte {
+	f.Helper()
+	const count = MaxBatchTrials
+	words := batchWords(count)
+	ones := func(n int) []uint64 {
+		w := make([]uint64, n)
+		for i := range w {
+			w[i] = ^uint64(0)
+		}
+		return w
+	}
+	seeds := ones(count)
+	members := make([]uint32, 300)
+	for i := range members {
+		members[i] = uint32(2*i + 1)
+	}
+	present := make([]uint32, 200)
+	for i := range present {
+		present[i] = 7
+	}
+	var out [][]byte
+	add := func(frame []byte, err error) {
+		if err != nil {
+			f.Fatal(err)
+		}
+		out = append(out, frame)
+	}
+	add(AppendRoundBatch(nil, RoundBatch{Batch: 9, Seeds: seeds}))
+	add(AppendVoteBatch(nil, VoteBatch{Player: 9, Batch: 9, Count: count, Bits: ones(words)}))
+	add(AppendVerdictBatch(nil, VerdictBatch{Batch: 9, Count: count, Bits: ones(words)}))
+	add(AppendVoteBatchR(nil, VoteBatchR{Player: 9, Batch: 9, Count: count, Bits: 8, Planes: ones(8 * words)}))
+	add(AppendAggSum(nil, AggSum{Agg: 9, Batch: 9, Count: count, Bits: 8, Planes: 16, Present: 100, Sums: ones(16 * words)}))
+	add(AppendAggPlanes(nil, AggPlanes{Agg: 9, Batch: 9, Count: count, Bits: 4, Members: 192, Present: 192,
+		Mask: ones(3), Planes: ones(192 * 4 * words)}))
+	add(AppendAggVerdict(nil, AggVerdict{Batch: 9, Count: count, Present: present, Bits: ones(words)}))
+	var hello bytes.Buffer
+	if err := WriteAggHello(&hello, AggHello{Agg: 9, Bits: 8, Present: 300, Members: members}); err != nil {
+		f.Fatal(err)
+	}
+	out = append(out, hello.Bytes())
+	return out
 }

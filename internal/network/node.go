@@ -43,10 +43,11 @@ type PlayerNode struct {
 	buf []int
 	rng *engine.ReusableRNG
 
-	// voteBits is the reusable packed-vote buffer for ROUND_BATCH replies;
-	// like buf it is safe to reuse because a node handles one frame at a
-	// time.
+	// voteBits is the reusable packed-vote buffer for ROUND_BATCH replies
+	// and enc the reply's encode buffer; like buf they are safe to reuse
+	// because a node handles one frame at a time.
 	voteBits []uint64
+	enc      []byte
 
 	// staged holds per-batch sampler overrides keyed by batch id, set by
 	// the referee-side aggregator before it issues the ROUND_BATCH. The
@@ -139,24 +140,28 @@ func (p *PlayerNode) connect(tr Transport, addr net.Addr) (net.Conn, int, error)
 // serve is the node's frame loop over an established connection:
 // answer every ROUND_BATCH with a vote batch, take VERDICT_BATCH frames
 // as they come, and exit on FINISH.
+//
+// Every frame decodes into the loop's own reader; a ROUND_BATCH's seeds
+// are only read before the next decode, so the reuse is safe.
 func (p *PlayerNode) serve(conn net.Conn) error {
+	fr := new(frameReader)
 	for {
 		// Referee frames can lag a full referee phase behind — the quorum
 		// accept phase before the first ROUND_BATCH, a slow peer's vote
 		// before a VERDICT_BATCH — so reads get a two-timeout budget.
 		setDeadline(conn, 2*p.timeout)
-		t, msg, err := ReadFrame(conn)
+		t, err := decodeFrame(conn, fr)
 		if err != nil {
 			return fmt.Errorf("network: node %d read: %w", p.id, err)
 		}
-		switch m := msg.(type) {
-		case RoundBatch:
-			if err := p.voteBatch(conn, m); err != nil {
+		switch t {
+		case FrameRoundBatch:
+			if err := p.voteBatch(conn, fr.roundBatch()); err != nil {
 				return err
 			}
-		case VerdictBatch:
+		case FrameVerdictBatch:
 			// Nothing to do: a node keeps no state across trials.
-		case Finish:
+		case FrameFinish:
 			return nil
 		default:
 			return fmt.Errorf("network: node %d got unexpected %v mid-session", p.id, t)
@@ -235,13 +240,19 @@ func (p *PlayerNode) voteBatch(conn net.Conn, rb RoundBatch) error {
 			}
 		}
 	}
+	var err error
+	if msgBits == 1 {
+		p.enc, err = AppendVoteBatch(p.enc[:0], VoteBatch{Player: p.id, Batch: rb.Batch, Count: uint32(count), Bits: voteBits})
+	} else {
+		p.enc, err = AppendVoteBatchR(p.enc[:0], VoteBatchR{
+			Player: p.id, Batch: rb.Batch, Count: uint32(count), Bits: uint8(msgBits), Planes: voteBits,
+		})
+	}
+	if err != nil {
+		return err
+	}
 	// Refresh the deadline: a large batch of sampling may have consumed
 	// most of the read-phase budget.
 	setDeadline(conn, p.timeout)
-	if msgBits == 1 {
-		return WriteVoteBatch(conn, VoteBatch{Player: p.id, Batch: rb.Batch, Count: uint32(count), Bits: voteBits})
-	}
-	return WriteVoteBatchR(conn, VoteBatchR{
-		Player: p.id, Batch: rb.Batch, Count: uint32(count), Bits: uint8(msgBits), Planes: voteBits,
-	})
+	return writeCoalesced(conn, p.enc)
 }

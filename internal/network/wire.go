@@ -474,32 +474,6 @@ func writeFrame(w io.Writer, t FrameType, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame, validating magic, version and size.
-func readFrame(r io.Reader) (FrameType, []byte, error) {
-	//lint:ignore dut/hotalloc the 8-byte header escapes through the io.Reader interface; one read per frame, one frame per batch on the hot gather path
-	var header [headerSize]byte
-	if _, err := io.ReadFull(r, header[:]); err != nil {
-		return 0, nil, err
-	}
-	if got := binary.BigEndian.Uint16(header[0:2]); got != Magic {
-		return 0, nil, fmt.Errorf("network: bad magic %#x", got)
-	}
-	if header[2] != Version {
-		return 0, nil, fmt.Errorf("network: unsupported protocol version %d", header[2])
-	}
-	t := FrameType(header[3])
-	size := binary.BigEndian.Uint32(header[4:8])
-	if limit := maxPayload(t); size > uint32(limit) {
-		return 0, nil, fmt.Errorf("network: oversized %v frame of %d bytes", t, size)
-	}
-	//lint:ignore dut/hotalloc one payload buffer per received frame; the batch protocol receives one frame per batch, amortized across the batch's trials
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return t, payload, nil
-}
-
 // WriteHello sends a HELLO frame.
 func WriteHello(w io.Writer, h Hello) error {
 	var p [5]byte
@@ -587,18 +561,29 @@ func WriteRoundBatch(w io.Writer, r RoundBatch) error {
 // against Count (word count and zero padding) before any byte leaves,
 // so an invalid batch never reaches the wire.
 func WriteVoteBatch(w io.Writer, v VoteBatch) error {
-	if err := checkBatchBits(FrameVoteBatch, int(v.Count), v.Bits); err != nil {
+	buf, err := AppendVoteBatch(nil, v)
+	if err != nil {
 		return err
 	}
-	//lint:ignore dut/hotalloc one encode buffer per VOTE_BATCH frame; a node sends one such frame per batch covering Count trials
-	p := make([]byte, 12+8*len(v.Bits))
-	binary.BigEndian.PutUint32(p[0:4], v.Player)
-	binary.BigEndian.PutUint32(p[4:8], v.Batch)
-	binary.BigEndian.PutUint32(p[8:12], v.Count)
-	for i, word := range v.Bits {
-		binary.BigEndian.PutUint64(p[12+8*i:], word)
+	return writeCoalesced(w, buf)
+}
+
+// AppendVoteBatch appends one encoded VOTE_BATCH frame to buf,
+// validated exactly like WriteVoteBatch. A player node encodes its
+// votes into a buffer it owns and sends them with one write, so the
+// node's steady state encodes without allocating.
+func AppendVoteBatch(buf []byte, v VoteBatch) ([]byte, error) {
+	if err := checkBatchBits(FrameVoteBatch, int(v.Count), v.Bits); err != nil {
+		return buf, err
 	}
-	return writeFrame(w, FrameVoteBatch, p)
+	buf = appendHeader(buf, FrameVoteBatch, 12+8*len(v.Bits))
+	buf = binary.BigEndian.AppendUint32(buf, v.Player)
+	buf = binary.BigEndian.AppendUint32(buf, v.Batch)
+	buf = binary.BigEndian.AppendUint32(buf, v.Count)
+	for _, word := range v.Bits {
+		buf = binary.BigEndian.AppendUint64(buf, word)
+	}
+	return buf, nil
 }
 
 // WriteVoteBatchR sends a VOTE_BATCH_R frame; the plane set is
@@ -606,19 +591,28 @@ func WriteVoteBatch(w io.Writer, v VoteBatch) error {
 // every plane) before any byte leaves, so an invalid batch never
 // reaches the wire.
 func WriteVoteBatchR(w io.Writer, v VoteBatchR) error {
-	if err := checkBatchPlanes(FrameVoteBatchR, int(v.Count), int(v.Bits), v.Planes); err != nil {
+	buf, err := AppendVoteBatchR(nil, v)
+	if err != nil {
 		return err
 	}
-	//lint:ignore dut/hotalloc one encode buffer per VOTE_BATCH_R frame; a node sends one such frame per batch covering Count trials
-	p := make([]byte, 13+8*len(v.Planes))
-	binary.BigEndian.PutUint32(p[0:4], v.Player)
-	binary.BigEndian.PutUint32(p[4:8], v.Batch)
-	binary.BigEndian.PutUint32(p[8:12], v.Count)
-	p[12] = v.Bits
-	for i, word := range v.Planes {
-		binary.BigEndian.PutUint64(p[13+8*i:], word)
+	return writeCoalesced(w, buf)
+}
+
+// AppendVoteBatchR appends one encoded VOTE_BATCH_R frame to buf,
+// validated exactly like WriteVoteBatchR.
+func AppendVoteBatchR(buf []byte, v VoteBatchR) ([]byte, error) {
+	if err := checkBatchPlanes(FrameVoteBatchR, int(v.Count), int(v.Bits), v.Planes); err != nil {
+		return buf, err
 	}
-	return writeFrame(w, FrameVoteBatchR, p)
+	buf = appendHeader(buf, FrameVoteBatchR, 13+8*len(v.Planes))
+	buf = binary.BigEndian.AppendUint32(buf, v.Player)
+	buf = binary.BigEndian.AppendUint32(buf, v.Batch)
+	buf = binary.BigEndian.AppendUint32(buf, v.Count)
+	buf = append(buf, v.Bits)
+	for _, word := range v.Planes {
+		buf = binary.BigEndian.AppendUint64(buf, word)
+	}
+	return buf, nil
 }
 
 // WriteVerdictBatch sends a VERDICT_BATCH frame, validated like
@@ -784,272 +778,376 @@ func AppendAggPlanes(buf []byte, v AggPlanes) ([]byte, error) {
 	return buf, nil
 }
 
+// frameReader is the scratch the frame decoder writes into: the header,
+// the payload buffer, and the last frame's decoded fields, named after
+// the typed structs' fields and shared between the types that have
+// them. The typed accessors (roundBatch, voteBatchR, ...) assemble a
+// frame's struct from them. Each read loop owns one reader and reuses
+// it for every frame, so a settled session decodes without allocating.
+// A decoded value, slices included, is valid only until the reader's
+// next decode; ReadFrame decodes into a fresh reader, which is what
+// makes its values the caller's to keep.
+type frameReader struct {
+	header  [headerSize]byte
+	payload []byte
+
+	player, batch, count, agg, present, members uint32
+	bits, planes                                uint8
+
+	words []uint64 // ROUND_BATCH seeds, bitsets, VOTE_BATCH_R/AGG_PLANES planes, AGG_SUM sums
+	mask  []uint64 // AGG_PLANES presence mask
+	ids   []uint32 // AGG_HELLO members, AGG_VERDICT present counts
+}
+
+func (fr *frameReader) hello() Hello { return Hello{Player: fr.player, Bits: fr.bits} }
+
+func (fr *frameReader) roundBatch() RoundBatch { return RoundBatch{Batch: fr.batch, Seeds: fr.words} }
+
+func (fr *frameReader) voteBatch() VoteBatch {
+	return VoteBatch{Player: fr.player, Batch: fr.batch, Count: fr.count, Bits: fr.words}
+}
+
+func (fr *frameReader) verdictBatch() VerdictBatch {
+	return VerdictBatch{Batch: fr.batch, Count: fr.count, Bits: fr.words}
+}
+
+func (fr *frameReader) voteBatchR() VoteBatchR {
+	return VoteBatchR{Player: fr.player, Batch: fr.batch, Count: fr.count, Bits: fr.bits, Planes: fr.words}
+}
+
+func (fr *frameReader) aggHello() AggHello {
+	return AggHello{Agg: fr.agg, Bits: fr.bits, Present: fr.present, Members: fr.ids}
+}
+
+func (fr *frameReader) aggSum() AggSum {
+	return AggSum{Agg: fr.agg, Batch: fr.batch, Count: fr.count, Bits: fr.bits, Planes: fr.planes, Present: fr.present, Sums: fr.words}
+}
+
+func (fr *frameReader) aggPlanes() AggPlanes {
+	return AggPlanes{Agg: fr.agg, Batch: fr.batch, Count: fr.count, Bits: fr.bits,
+		Members: fr.members, Present: fr.present, Mask: fr.mask, Planes: fr.words}
+}
+
+func (fr *frameReader) aggVerdict() AggVerdict {
+	return AggVerdict{Batch: fr.batch, Count: fr.count, Present: fr.ids, Bits: fr.words}
+}
+
+// grow returns s resized to n elements, reallocating only when its
+// capacity falls short. The result is never nil, so an empty decoded
+// slice looks the same from a fresh reader and a reused one.
+func grow[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // ReadFrame reads and decodes the next frame into one of the typed
-// structs; the first return carries the type tag.
+// structs; the first return carries the type tag. Every slice in the
+// value is freshly allocated and owned by the caller.
 func ReadFrame(r io.Reader) (FrameType, any, error) {
-	t, payload, err := readFrame(r)
+	fr := new(frameReader)
+	t, err := decodeFrame(r, fr)
 	if err != nil {
 		return 0, nil, err
+	}
+	return t, fr.value(t), nil
+}
+
+// value returns the decoded frame of type t as ReadFrame's typed struct.
+func (fr *frameReader) value(t FrameType) any {
+	switch t {
+	case FrameHello:
+		return fr.hello()
+	case FrameFinish:
+		return Finish{}
+	case FrameRoundBatch:
+		return fr.roundBatch()
+	case FrameVoteBatch:
+		return fr.voteBatch()
+	case FrameVerdictBatch:
+		return fr.verdictBatch()
+	case FrameVoteBatchR:
+		return fr.voteBatchR()
+	case FrameAggHello:
+		return fr.aggHello()
+	case FrameAggSum:
+		return fr.aggSum()
+	case FrameAggPlanes:
+		return fr.aggPlanes()
+	case FrameAggVerdict:
+		return fr.aggVerdict()
+	default:
+		return nil
+	}
+}
+
+// decodeFrame is the one frame decoder: it reads the next frame from r,
+// validates magic, version, size and the type's layout, and decodes it
+// into fr.
+func decodeFrame(r io.Reader, fr *frameReader) (FrameType, error) {
+	header := fr.header[:]
+	if _, err := io.ReadFull(r, header); err != nil {
+		return 0, err
+	}
+	if got := binary.BigEndian.Uint16(header[0:2]); got != Magic {
+		return 0, fmt.Errorf("network: bad magic %#x", got)
+	}
+	if header[2] != Version {
+		return 0, fmt.Errorf("network: unsupported protocol version %d", header[2])
+	}
+	t := FrameType(header[3])
+	size := binary.BigEndian.Uint32(header[4:8])
+	if limit := maxPayload(t); size > uint32(limit) {
+		return 0, fmt.Errorf("network: oversized %v frame of %d bytes", t, size)
+	}
+	fr.payload = grow(fr.payload, int(size))
+	payload := fr.payload
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return 0, err
 	}
 	switch t {
 	case FrameHello:
 		if len(payload) != 5 {
-			return 0, nil, fmt.Errorf("network: HELLO payload of %d bytes", len(payload))
+			return 0, fmt.Errorf("network: HELLO payload of %d bytes", len(payload))
 		}
-		return t, Hello{Player: binary.BigEndian.Uint32(payload[0:4]), Bits: payload[4]}, nil
+		fr.player, fr.bits = binary.BigEndian.Uint32(payload[0:4]), payload[4]
 	case FrameFinish:
 		if len(payload) != 0 {
-			return 0, nil, fmt.Errorf("network: FINISH payload of %d bytes", len(payload))
+			return 0, fmt.Errorf("network: FINISH payload of %d bytes", len(payload))
 		}
-		return t, Finish{}, nil
 	case FrameRoundBatch:
 		if len(payload) < 8 {
-			return 0, nil, fmt.Errorf("network: ROUND_BATCH payload of %d bytes", len(payload))
+			return 0, fmt.Errorf("network: ROUND_BATCH payload of %d bytes", len(payload))
 		}
 		count := int(binary.BigEndian.Uint32(payload[4:8]))
 		if count < 1 || count > MaxBatchTrials {
-			return 0, nil, fmt.Errorf("network: ROUND_BATCH with %d trials, want 1..%d", count, MaxBatchTrials)
+			return 0, fmt.Errorf("network: ROUND_BATCH with %d trials, want 1..%d", count, MaxBatchTrials)
 		}
 		if len(payload) != 8+8*count {
-			return 0, nil, fmt.Errorf("network: ROUND_BATCH payload of %d bytes for %d trials, want %d",
+			return 0, fmt.Errorf("network: ROUND_BATCH payload of %d bytes for %d trials, want %d",
 				len(payload), count, 8+8*count)
 		}
-		seeds := make([]uint64, count)
+		fr.words = grow(fr.words, count)
+		seeds := fr.words
 		for i := range seeds {
 			seeds[i] = binary.BigEndian.Uint64(payload[8+8*i:])
 		}
-		return t, RoundBatch{Batch: binary.BigEndian.Uint32(payload[0:4]), Seeds: seeds}, nil
+		fr.batch = binary.BigEndian.Uint32(payload[0:4])
 	case FrameVoteBatch:
 		if len(payload) < 12 {
-			return 0, nil, fmt.Errorf("network: VOTE_BATCH payload of %d bytes", len(payload))
+			return 0, fmt.Errorf("network: VOTE_BATCH payload of %d bytes", len(payload))
 		}
 		count := int(binary.BigEndian.Uint32(payload[8:12]))
 		if count < 1 || count > MaxBatchTrials {
-			return 0, nil, fmt.Errorf("network: VOTE_BATCH with %d trials, want 1..%d", count, MaxBatchTrials)
+			return 0, fmt.Errorf("network: VOTE_BATCH with %d trials, want 1..%d", count, MaxBatchTrials)
 		}
 		if len(payload) != 12+8*batchWords(count) {
-			return 0, nil, fmt.Errorf("network: VOTE_BATCH payload of %d bytes for %d trials, want %d",
+			return 0, fmt.Errorf("network: VOTE_BATCH payload of %d bytes for %d trials, want %d",
 				len(payload), count, 12+8*batchWords(count))
 		}
-		bits := make([]uint64, batchWords(count))
+		fr.words = grow(fr.words, batchWords(count))
+		bits := fr.words
 		for i := range bits {
 			bits[i] = binary.BigEndian.Uint64(payload[12+8*i:])
 		}
-		v := VoteBatch{
-			Player: binary.BigEndian.Uint32(payload[0:4]),
-			Batch:  binary.BigEndian.Uint32(payload[4:8]),
-			Count:  uint32(count),
-			Bits:   bits,
-		}
 		if err := checkBatchBits(FrameVoteBatch, count, bits); err != nil {
-			return 0, nil, err
+			return 0, err
 		}
-		return t, v, nil
+		fr.player = binary.BigEndian.Uint32(payload[0:4])
+		fr.batch = binary.BigEndian.Uint32(payload[4:8])
+		fr.count = uint32(count)
+		fr.bits = 1 // so voteBatchR reads it as the one-plane frame it equals
 	case FrameVerdictBatch:
 		if len(payload) < 8 {
-			return 0, nil, fmt.Errorf("network: VERDICT_BATCH payload of %d bytes", len(payload))
+			return 0, fmt.Errorf("network: VERDICT_BATCH payload of %d bytes", len(payload))
 		}
 		count := int(binary.BigEndian.Uint32(payload[4:8]))
 		if count < 1 || count > MaxBatchTrials {
-			return 0, nil, fmt.Errorf("network: VERDICT_BATCH with %d trials, want 1..%d", count, MaxBatchTrials)
+			return 0, fmt.Errorf("network: VERDICT_BATCH with %d trials, want 1..%d", count, MaxBatchTrials)
 		}
 		if len(payload) != 8+8*batchWords(count) {
-			return 0, nil, fmt.Errorf("network: VERDICT_BATCH payload of %d bytes for %d trials, want %d",
+			return 0, fmt.Errorf("network: VERDICT_BATCH payload of %d bytes for %d trials, want %d",
 				len(payload), count, 8+8*batchWords(count))
 		}
-		bits := make([]uint64, batchWords(count))
+		fr.words = grow(fr.words, batchWords(count))
+		bits := fr.words
 		for i := range bits {
 			bits[i] = binary.BigEndian.Uint64(payload[8+8*i:])
 		}
 		if err := checkBatchBits(FrameVerdictBatch, count, bits); err != nil {
-			return 0, nil, err
+			return 0, err
 		}
-		return t, VerdictBatch{
-			Batch: binary.BigEndian.Uint32(payload[0:4]),
-			Count: uint32(count),
-			Bits:  bits,
-		}, nil
+		fr.batch = binary.BigEndian.Uint32(payload[0:4])
+		fr.count = uint32(count)
 	case FrameVoteBatchR:
 		if len(payload) < 13 {
-			return 0, nil, fmt.Errorf("network: VOTE_BATCH_R payload of %d bytes", len(payload))
+			return 0, fmt.Errorf("network: VOTE_BATCH_R payload of %d bytes", len(payload))
 		}
 		count := int(binary.BigEndian.Uint32(payload[8:12]))
 		if count < 1 || count > MaxBatchTrials {
-			return 0, nil, fmt.Errorf("network: VOTE_BATCH_R with %d trials, want 1..%d", count, MaxBatchTrials)
+			return 0, fmt.Errorf("network: VOTE_BATCH_R with %d trials, want 1..%d", count, MaxBatchTrials)
 		}
 		msgBits := int(payload[12])
 		if msgBits < 1 || msgBits > 64 {
-			return 0, nil, fmt.Errorf("network: VOTE_BATCH_R with %d message bits, want 1..64", msgBits)
+			return 0, fmt.Errorf("network: VOTE_BATCH_R with %d message bits, want 1..64", msgBits)
 		}
 		words := msgBits * batchWords(count)
 		if len(payload) != 13+8*words {
-			return 0, nil, fmt.Errorf("network: VOTE_BATCH_R payload of %d bytes for %d trials of %d bits, want %d",
+			return 0, fmt.Errorf("network: VOTE_BATCH_R payload of %d bytes for %d trials of %d bits, want %d",
 				len(payload), count, msgBits, 13+8*words)
 		}
-		planes := make([]uint64, words)
+		fr.words = grow(fr.words, words)
+		planes := fr.words
 		for i := range planes {
 			planes[i] = binary.BigEndian.Uint64(payload[13+8*i:])
 		}
 		if err := checkBatchPlanes(FrameVoteBatchR, count, msgBits, planes); err != nil {
-			return 0, nil, err
+			return 0, err
 		}
-		return t, VoteBatchR{
-			Player: binary.BigEndian.Uint32(payload[0:4]),
-			Batch:  binary.BigEndian.Uint32(payload[4:8]),
-			Count:  uint32(count),
-			Bits:   uint8(msgBits),
-			Planes: planes,
-		}, nil
+		fr.player = binary.BigEndian.Uint32(payload[0:4])
+		fr.batch = binary.BigEndian.Uint32(payload[4:8])
+		fr.count = uint32(count)
+		fr.bits = uint8(msgBits)
 	case FrameAggHello:
 		if len(payload) < 13 {
-			return 0, nil, fmt.Errorf("network: AGG_HELLO payload of %d bytes", len(payload))
+			return 0, fmt.Errorf("network: AGG_HELLO payload of %d bytes", len(payload))
 		}
 		count := int(binary.BigEndian.Uint32(payload[9:13]))
 		if count < 1 || count > MaxShardPlayers {
-			return 0, nil, fmt.Errorf("network: AGG_HELLO with %d members, want 1..%d", count, MaxShardPlayers)
+			return 0, fmt.Errorf("network: AGG_HELLO with %d members, want 1..%d", count, MaxShardPlayers)
 		}
 		if len(payload) != 13+4*count {
-			return 0, nil, fmt.Errorf("network: AGG_HELLO payload of %d bytes for %d members, want %d",
+			return 0, fmt.Errorf("network: AGG_HELLO payload of %d bytes for %d members, want %d",
 				len(payload), count, 13+4*count)
 		}
-		members := make([]uint32, count)
+		fr.ids = grow(fr.ids, count)
+		members := fr.ids
 		for i := range members {
 			members[i] = binary.BigEndian.Uint32(payload[13+4*i:])
 		}
-		h := AggHello{
-			Agg:     binary.BigEndian.Uint32(payload[0:4]),
-			Bits:    payload[4],
-			Present: binary.BigEndian.Uint32(payload[5:9]),
-			Members: members,
+		fr.agg = binary.BigEndian.Uint32(payload[0:4])
+		fr.bits = payload[4]
+		fr.present = binary.BigEndian.Uint32(payload[5:9])
+		if err := checkAggHello(fr.aggHello()); err != nil {
+			return 0, err
 		}
-		if err := checkAggHello(h); err != nil {
-			return 0, nil, err
-		}
-		return t, h, nil
 	case FrameAggSum:
 		if len(payload) < 18 {
-			return 0, nil, fmt.Errorf("network: AGG_SUM payload of %d bytes", len(payload))
+			return 0, fmt.Errorf("network: AGG_SUM payload of %d bytes", len(payload))
 		}
 		count := int(binary.BigEndian.Uint32(payload[8:12]))
 		if count < 1 || count > MaxBatchTrials {
-			return 0, nil, fmt.Errorf("network: AGG_SUM with %d trials, want 1..%d", count, MaxBatchTrials)
+			return 0, fmt.Errorf("network: AGG_SUM with %d trials, want 1..%d", count, MaxBatchTrials)
 		}
 		planes := int(payload[13])
 		if planes < 1 || planes > 64 {
-			return 0, nil, fmt.Errorf("network: AGG_SUM with %d counter planes, want 1..64", planes)
+			return 0, fmt.Errorf("network: AGG_SUM with %d counter planes, want 1..64", planes)
 		}
 		words := planes * batchWords(count)
 		if len(payload) != 18+8*words {
-			return 0, nil, fmt.Errorf("network: AGG_SUM payload of %d bytes for %d trials of %d planes, want %d",
+			return 0, fmt.Errorf("network: AGG_SUM payload of %d bytes for %d trials of %d planes, want %d",
 				len(payload), count, planes, 18+8*words)
 		}
-		sums := make([]uint64, words)
+		fr.words = grow(fr.words, words)
+		sums := fr.words
 		for i := range sums {
 			sums[i] = binary.BigEndian.Uint64(payload[18+8*i:])
 		}
-		v := AggSum{
-			Agg:     binary.BigEndian.Uint32(payload[0:4]),
-			Batch:   binary.BigEndian.Uint32(payload[4:8]),
-			Count:   uint32(count),
-			Bits:    payload[12],
-			Planes:  uint8(planes),
-			Present: binary.BigEndian.Uint32(payload[14:18]),
-			Sums:    sums,
+		fr.agg = binary.BigEndian.Uint32(payload[0:4])
+		fr.batch = binary.BigEndian.Uint32(payload[4:8])
+		fr.count = uint32(count)
+		fr.bits = payload[12]
+		fr.planes = uint8(planes)
+		fr.present = binary.BigEndian.Uint32(payload[14:18])
+		if err := checkAggSum(fr.aggSum()); err != nil {
+			return 0, err
 		}
-		if err := checkAggSum(v); err != nil {
-			return 0, nil, err
-		}
-		return t, v, nil
 	case FrameAggPlanes:
 		if len(payload) < 21 {
-			return 0, nil, fmt.Errorf("network: AGG_PLANES payload of %d bytes", len(payload))
+			return 0, fmt.Errorf("network: AGG_PLANES payload of %d bytes", len(payload))
 		}
 		count := int(binary.BigEndian.Uint32(payload[8:12]))
 		if count < 1 || count > MaxBatchTrials {
-			return 0, nil, fmt.Errorf("network: AGG_PLANES with %d trials, want 1..%d", count, MaxBatchTrials)
+			return 0, fmt.Errorf("network: AGG_PLANES with %d trials, want 1..%d", count, MaxBatchTrials)
 		}
 		msgBits := int(payload[12])
 		if msgBits < 1 || msgBits > 64 {
-			return 0, nil, fmt.Errorf("network: AGG_PLANES with %d message bits, want 1..64", msgBits)
+			return 0, fmt.Errorf("network: AGG_PLANES with %d message bits, want 1..64", msgBits)
 		}
 		members := int(binary.BigEndian.Uint32(payload[13:17]))
 		if members < 1 || members > MaxShardPlayers {
-			return 0, nil, fmt.Errorf("network: AGG_PLANES with %d members, want 1..%d", members, MaxShardPlayers)
+			return 0, fmt.Errorf("network: AGG_PLANES with %d members, want 1..%d", members, MaxShardPlayers)
 		}
 		present := int(binary.BigEndian.Uint32(payload[17:21]))
 		if present > members {
-			return 0, nil, fmt.Errorf("network: AGG_PLANES with %d present of %d members", present, members)
+			return 0, fmt.Errorf("network: AGG_PLANES with %d present of %d members", present, members)
 		}
 		maskWords := aggMaskWords(members)
 		planeWords := present * msgBits * batchWords(count)
 		if planeWords > MaxAggPlaneWords {
-			return 0, nil, fmt.Errorf("network: AGG_PLANES with %d plane words, want at most %d — shard wider",
+			return 0, fmt.Errorf("network: AGG_PLANES with %d plane words, want at most %d — shard wider",
 				planeWords, MaxAggPlaneWords)
 		}
 		if len(payload) != 21+8*(maskWords+planeWords) {
-			return 0, nil, fmt.Errorf("network: AGG_PLANES payload of %d bytes for %d present members of %d bits over %d trials, want %d",
+			return 0, fmt.Errorf("network: AGG_PLANES payload of %d bytes for %d present members of %d bits over %d trials, want %d",
 				len(payload), present, msgBits, count, 21+8*(maskWords+planeWords))
 		}
-		mask := make([]uint64, maskWords)
+		fr.mask = grow(fr.mask, maskWords)
+		mask := fr.mask
 		for i := range mask {
 			mask[i] = binary.BigEndian.Uint64(payload[21+8*i:])
 		}
-		planesBuf := make([]uint64, planeWords)
+		fr.words = grow(fr.words, planeWords)
+		planesBuf := fr.words
 		for i := range planesBuf {
 			planesBuf[i] = binary.BigEndian.Uint64(payload[21+8*maskWords+8*i:])
 		}
-		v := AggPlanes{
-			Agg:     binary.BigEndian.Uint32(payload[0:4]),
-			Batch:   binary.BigEndian.Uint32(payload[4:8]),
-			Count:   uint32(count),
-			Bits:    uint8(msgBits),
-			Members: uint32(members),
-			Present: uint32(present),
-			Mask:    mask,
-			Planes:  planesBuf,
+		fr.agg = binary.BigEndian.Uint32(payload[0:4])
+		fr.batch = binary.BigEndian.Uint32(payload[4:8])
+		fr.count = uint32(count)
+		fr.bits = uint8(msgBits)
+		fr.members = uint32(members)
+		fr.present = uint32(present)
+		if err := checkAggPlanes(fr.aggPlanes()); err != nil {
+			return 0, err
 		}
-		if err := checkAggPlanes(v); err != nil {
-			return 0, nil, err
-		}
-		return t, v, nil
 	case FrameAggVerdict:
 		if len(payload) < 12 {
-			return 0, nil, fmt.Errorf("network: AGG_VERDICT payload of %d bytes", len(payload))
+			return 0, fmt.Errorf("network: AGG_VERDICT payload of %d bytes", len(payload))
 		}
 		count := int(binary.BigEndian.Uint32(payload[4:8]))
 		if count < 1 || count > MaxBatchTrials {
-			return 0, nil, fmt.Errorf("network: AGG_VERDICT with %d trials, want 1..%d", count, MaxBatchTrials)
+			return 0, fmt.Errorf("network: AGG_VERDICT with %d trials, want 1..%d", count, MaxBatchTrials)
 		}
 		shards := int(binary.BigEndian.Uint32(payload[8:12]))
 		if shards < 1 || shards > MaxAggShards {
-			return 0, nil, fmt.Errorf("network: AGG_VERDICT with %d shards, want 1..%d", shards, MaxAggShards)
+			return 0, fmt.Errorf("network: AGG_VERDICT with %d shards, want 1..%d", shards, MaxAggShards)
 		}
 		words := batchWords(count)
 		if len(payload) != 12+4*shards+8*words {
-			return 0, nil, fmt.Errorf("network: AGG_VERDICT payload of %d bytes for %d trials over %d shards, want %d",
+			return 0, fmt.Errorf("network: AGG_VERDICT payload of %d bytes for %d trials over %d shards, want %d",
 				len(payload), count, shards, 12+4*shards+8*words)
 		}
-		present := make([]uint32, shards)
+		fr.ids = grow(fr.ids, shards)
+		present := fr.ids
 		for i := range present {
 			present[i] = binary.BigEndian.Uint32(payload[12+4*i:])
 		}
-		bits := make([]uint64, words)
+		fr.words = grow(fr.words, words)
+		bits := fr.words
 		for i := range bits {
 			bits[i] = binary.BigEndian.Uint64(payload[12+4*shards+8*i:])
 		}
-		v := AggVerdict{
-			Batch:   binary.BigEndian.Uint32(payload[0:4]),
-			Count:   uint32(count),
-			Present: present,
-			Bits:    bits,
+		fr.batch = binary.BigEndian.Uint32(payload[0:4])
+		fr.count = uint32(count)
+		if err := checkAggVerdict(fr.aggVerdict()); err != nil {
+			return 0, err
 		}
-		if err := checkAggVerdict(v); err != nil {
-			return 0, nil, err
-		}
-		return t, v, nil
 	default:
-		return 0, nil, fmt.Errorf("network: unknown frame type %d", uint8(t))
+		return 0, fmt.Errorf("network: unknown frame type %d", uint8(t))
 	}
+	return t, nil
 }
 
 // expectFrame reads the next frame and requires a specific type.
@@ -1067,4 +1165,18 @@ func expectFrame[T any](r io.Reader, want FrameType) (T, error) {
 		return zero, fmt.Errorf("network: frame %v decoded to unexpected type %T", t, msg)
 	}
 	return typed, nil
+}
+
+// expectFrameInto is expectFrame for a read loop's reused reader: it
+// decodes the next frame into fr and requires a specific type, whose
+// value the caller then takes from fr's accessor for that type.
+func expectFrameInto(r io.Reader, fr *frameReader, want FrameType) error {
+	t, err := decodeFrame(r, fr)
+	if err != nil {
+		return err
+	}
+	if t != want {
+		return fmt.Errorf("network: expected %v, got %v", want, t)
+	}
+	return nil
 }
