@@ -52,11 +52,14 @@ type aggBatch struct {
 
 // aggBatchQueue is an unbounded FIFO of pending reductions feeding the
 // aggregator's reduce loop, mirroring frameQueue's close semantics:
-// pushes after close are dropped, pending items still drain.
+// pushes after close are dropped, pending items still drain. Pops advance
+// head and the slice rewinds whenever it drains, so the backing array
+// settles at the window's high-water mark.
 type aggBatchQueue struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	items  []aggBatch
+	head   int
 	closed bool
 }
 
@@ -79,16 +82,16 @@ func (q *aggBatchQueue) push(b aggBatch) {
 func (q *aggBatchQueue) pop() (aggBatch, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
+	for q.head == len(q.items) && !q.closed {
 		q.cond.Wait()
 	}
-	if len(q.items) == 0 {
+	if q.head == len(q.items) {
 		return aggBatch{}, false
 	}
-	b := q.items[0]
-	q.items = q.items[1:]
-	if len(q.items) == 0 {
-		q.items = q.items[:0:cap(q.items)]
+	b := q.items[q.head]
+	q.head++
+	if q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
 	}
 	return b, true
 }
@@ -127,8 +130,9 @@ type aggregator struct {
 	listener net.Listener
 
 	root   net.Conn
-	rootRd frameReader  // readRoot's decode scratch, reused for every root frame
-	slots  []*batchSlot // by shard position; nil = absent (quorum mode)
+	rootRd frameReader    // readRoot's decode scratch, reused for every root frame
+	slots  []*batchSlot   // by shard position; nil = absent (quorum mode)
+	readWG sync.WaitGroup // outstanding member reads of the current gather
 
 	pending    *aggBatchQueue
 	readerDone chan struct{}
@@ -202,7 +206,7 @@ func (a *aggregator) setup(ctx context.Context, rootAddr net.Addr) error {
 		return err
 	}
 	a.slots = slots
-	a.bs.startWriters(slots)
+	a.bs.startSlots(slots, a.deliverVote, &a.readWG)
 	return a.connectRoot(rootAddr, present)
 }
 
@@ -421,7 +425,7 @@ func (a *aggregator) reduceLoop() {
 func (a *aggregator) runBatch(b aggBatch) {
 	bs := a.bs
 	words := batchWords(b.count)
-	received := bs.gather(a.slots, a.deliv, b.id, b.count, a.failMember)
+	received := gather(a.slots, a.deliv, &a.readWG, b.id, b.count)
 	var err error
 	if bs.shapeOK || bs.sumOK {
 		planes := len(bs.planes)
@@ -471,13 +475,22 @@ func (a *aggregator) runBatch(b aggBatch) {
 	}
 }
 
-// failMember marks one member slot dead; in strict mode a member
-// failure dooms the session, exactly as it would on the flat star.
-func (a *aggregator) failMember(slot *batchSlot, err error) {
-	a.bs.failSlot(slot, err)
-	if a.bs.server.strict() {
-		a.bs.failAgg(err)
+// deliverVote is a member slot's read hook: one member's vote batch into
+// a.deliv by shard position. A failed member is marked dead; in strict
+// mode its failure dooms the session, exactly as it would on the flat
+// star.
+//
+//dut:hotpath
+func (a *aggregator) deliverVote(slot *batchSlot, r slotRead) {
+	planes, err := a.bs.readVotes(slot, r.batch, r.count)
+	if err != nil {
+		a.bs.failSlot(slot, err)
+		if a.bs.server.strict() {
+			a.bs.failAgg(err)
+		}
+		return
 	}
+	a.deliv[r.idx] = planes
 }
 
 // fail records the aggregator's own failure and closes the upstream
@@ -491,9 +504,11 @@ func (a *aggregator) fail(err error) {
 }
 
 // closeMembers finishes the shard: queues close (pending frames still
-// drain), writers exit, connections close.
+// drain), writers and readers exit, connections close. It runs on the
+// aggregator goroutine once the reduce loop, the only gatherer, is done.
 func (a *aggregator) closeMembers() {
 	closeQueues(a.slots)
+	stopReaders(a.slots)
 	for _, slot := range a.slots {
 		if slot == nil {
 			continue
@@ -653,7 +668,7 @@ func (bs *batchSession) startSharded(ctx context.Context) error {
 		return err
 	}
 	bs.slots = slots
-	bs.startWriters(slots)
+	bs.startSlots(slots, bs.readShard, &bs.readWG)
 	return nil
 }
 
@@ -750,112 +765,22 @@ func (bs *batchSession) validateAggHello(h AggHello, seen []bool) error {
 }
 
 // gatherShards collects one batch's reduced frames from every live
-// aggregator concurrently, the tree counterpart of gather. Shaped
-// referees land partial sums in shardSums; opaque referees scatter
-// the forwarded planes back into bs.deliv by player id, so the
-// per-trial fallback sees exactly the flat gather's delivery table.
-// It returns the number of player votes the tree received, summed
-// from the per-shard present-counts. The sums and planes alias each
-// slot's reader, which the next gather is the first to overwrite.
+// aggregator at once through the root slots' persistent readers, the
+// tree counterpart of gather. Shaped referees land partial sums in
+// shardSums; opaque referees scatter the forwarded planes back into
+// bs.deliv by player id, so the per-trial fallback sees exactly the flat
+// gather's delivery table. It returns the number of player votes the
+// tree received, summed from the per-shard present-counts. The sums and
+// planes alias each slot's reader, which the next gather is the first to
+// overwrite.
+//
+//dut:hotpath
 func (bs *batchSession) gatherShards(batchID uint32, count int) int {
-	for i := range bs.deliv {
-		bs.deliv[i] = nil
-	}
-	for i := range bs.shardGot {
-		bs.shardGot[i] = false
-		bs.shardSums[i] = nil
-		bs.shardPresent[i] = 0
-	}
-	shaped := bs.shapeOK || bs.sumOK
-	words := batchWords(count)
-	var wg sync.WaitGroup
-	for _, slot := range bs.slots {
-		if slot.isDead() {
-			continue
-		}
-		wg.Add(1)
-		//lint:ignore dut/hotalloc one reader goroutine per live member per batch, amortized across the batch's trials
-		go func(slot *batchSlot) {
-			defer wg.Done()
-			conn := slot.conn
-			agg := slot.id
-			// The reduced frame waits on the aggregator's own member gather
-			// (itself budgeted two timeouts) plus the reduction; budget three.
-			setReadDeadline(conn, 3*bs.server.timeout)
-			if shaped {
-				if err := expectFrameInto(conn, &slot.rd, FrameAggSum); err != nil {
-					bs.failSlot(slot, fmt.Errorf("network: reduced batch from aggregator %d: %w", agg, err))
-					return
-				}
-				v := slot.rd.aggSum()
-				if v.Agg != agg {
-					bs.failSlot(slot, fmt.Errorf("network: reduced batch claims aggregator %d on aggregator %d's connection", v.Agg, agg))
-					return
-				}
-				if v.Batch != batchID {
-					bs.failSlot(slot, fmt.Errorf("network: aggregator %d answered batch %d, expected %d", agg, v.Batch, batchID))
-					return
-				}
-				if int(v.Count) != count {
-					bs.failSlot(slot, fmt.Errorf("network: aggregator %d reduced %d trials of batch %d, expected %d", agg, v.Count, v.Batch, count))
-					return
-				}
-				if int(v.Bits) != bs.msgBits {
-					bs.failSlot(slot, fmt.Errorf("network: aggregator %d sent %d-bit sums, the rule uses %d bits", agg, v.Bits, bs.msgBits))
-					return
-				}
-				if int(v.Planes) != len(bs.planes) {
-					bs.failSlot(slot, fmt.Errorf("network: aggregator %d sent %d counter planes, the referee needs %d", agg, v.Planes, len(bs.planes)))
-					return
-				}
-				if int(v.Present) > len(bs.shards[agg]) {
-					bs.failSlot(slot, fmt.Errorf("network: aggregator %d reports %d present of %d members", agg, v.Present, len(bs.shards[agg])))
-					return
-				}
-				bs.shardSums[agg] = v.Sums
-				bs.shardPresent[agg] = v.Present
-				bs.shardGot[agg] = true
-			} else {
-				if err := expectFrameInto(conn, &slot.rd, FrameAggPlanes); err != nil {
-					bs.failSlot(slot, fmt.Errorf("network: forwarded batch from aggregator %d: %w", agg, err))
-					return
-				}
-				v := slot.rd.aggPlanes()
-				if v.Agg != agg {
-					bs.failSlot(slot, fmt.Errorf("network: forwarded batch claims aggregator %d on aggregator %d's connection", v.Agg, agg))
-					return
-				}
-				if v.Batch != batchID {
-					bs.failSlot(slot, fmt.Errorf("network: aggregator %d answered batch %d, expected %d", agg, v.Batch, batchID))
-					return
-				}
-				if int(v.Count) != count {
-					bs.failSlot(slot, fmt.Errorf("network: aggregator %d forwarded %d trials of batch %d, expected %d", agg, v.Count, v.Batch, count))
-					return
-				}
-				if int(v.Bits) != bs.msgBits {
-					bs.failSlot(slot, fmt.Errorf("network: aggregator %d sent %d-bit planes, the rule uses %d bits", agg, v.Bits, bs.msgBits))
-					return
-				}
-				members := bs.shards[agg]
-				if int(v.Members) != len(members) {
-					bs.failSlot(slot, fmt.Errorf("network: aggregator %d forwarded %d members, the router assigns it %d", agg, v.Members, len(members)))
-					return
-				}
-				stride := bs.msgBits * words
-				mi := 0
-				for pos, player := range members {
-					if v.Mask[pos/64]>>(pos%64)&1 == 1 {
-						bs.deliv[player] = v.Planes[mi*stride : (mi+1)*stride]
-						mi++
-					}
-				}
-				bs.shardPresent[agg] = v.Present
-				bs.shardGot[agg] = true
-			}
-		}(slot)
-	}
-	wg.Wait()
+	clear(bs.deliv)
+	clear(bs.shardGot)
+	clear(bs.shardSums)
+	clear(bs.shardPresent)
+	postReads(bs.slots, &bs.readWG, batchID, count)
 	received := 0
 	for i := range bs.shardGot {
 		if bs.shardGot[i] {
@@ -863,6 +788,92 @@ func (bs *batchSession) gatherShards(batchID uint32, count int) int {
 		}
 	}
 	return received
+}
+
+// readShard is the tree root's read hook: one aggregator's reduced frame
+// for the batch, validated against the shard it speaks for.
+//
+//dut:hotpath
+func (bs *batchSession) readShard(slot *batchSlot, r slotRead) {
+	batchID, count := r.batch, r.count
+	shaped := bs.shapeOK || bs.sumOK
+	words := batchWords(count)
+	conn := slot.conn
+	agg := slot.id
+	// The reduced frame waits on the aggregator's own member gather
+	// (itself budgeted two timeouts) plus the reduction; budget three.
+	setReadDeadline(conn, 3*bs.server.timeout)
+	if shaped {
+		if err := expectFrameInto(conn, &slot.rd, FrameAggSum); err != nil {
+			bs.failSlot(slot, fmt.Errorf("network: reduced batch from aggregator %d: %w", agg, err))
+			return
+		}
+		v := slot.rd.aggSum()
+		if v.Agg != agg {
+			bs.failSlot(slot, fmt.Errorf("network: reduced batch claims aggregator %d on aggregator %d's connection", v.Agg, agg))
+			return
+		}
+		if v.Batch != batchID {
+			bs.failSlot(slot, fmt.Errorf("network: aggregator %d answered batch %d, expected %d", agg, v.Batch, batchID))
+			return
+		}
+		if int(v.Count) != count {
+			bs.failSlot(slot, fmt.Errorf("network: aggregator %d reduced %d trials of batch %d, expected %d", agg, v.Count, v.Batch, count))
+			return
+		}
+		if int(v.Bits) != bs.msgBits {
+			bs.failSlot(slot, fmt.Errorf("network: aggregator %d sent %d-bit sums, the rule uses %d bits", agg, v.Bits, bs.msgBits))
+			return
+		}
+		if int(v.Planes) != len(bs.planes) {
+			bs.failSlot(slot, fmt.Errorf("network: aggregator %d sent %d counter planes, the referee needs %d", agg, v.Planes, len(bs.planes)))
+			return
+		}
+		if int(v.Present) > len(bs.shards[agg]) {
+			bs.failSlot(slot, fmt.Errorf("network: aggregator %d reports %d present of %d members", agg, v.Present, len(bs.shards[agg])))
+			return
+		}
+		bs.shardSums[agg] = v.Sums
+		bs.shardPresent[agg] = v.Present
+		bs.shardGot[agg] = true
+	} else {
+		if err := expectFrameInto(conn, &slot.rd, FrameAggPlanes); err != nil {
+			bs.failSlot(slot, fmt.Errorf("network: forwarded batch from aggregator %d: %w", agg, err))
+			return
+		}
+		v := slot.rd.aggPlanes()
+		if v.Agg != agg {
+			bs.failSlot(slot, fmt.Errorf("network: forwarded batch claims aggregator %d on aggregator %d's connection", v.Agg, agg))
+			return
+		}
+		if v.Batch != batchID {
+			bs.failSlot(slot, fmt.Errorf("network: aggregator %d answered batch %d, expected %d", agg, v.Batch, batchID))
+			return
+		}
+		if int(v.Count) != count {
+			bs.failSlot(slot, fmt.Errorf("network: aggregator %d forwarded %d trials of batch %d, expected %d", agg, v.Count, v.Batch, count))
+			return
+		}
+		if int(v.Bits) != bs.msgBits {
+			bs.failSlot(slot, fmt.Errorf("network: aggregator %d sent %d-bit planes, the rule uses %d bits", agg, v.Bits, bs.msgBits))
+			return
+		}
+		members := bs.shards[agg]
+		if int(v.Members) != len(members) {
+			bs.failSlot(slot, fmt.Errorf("network: aggregator %d forwarded %d members, the router assigns it %d", agg, v.Members, len(members)))
+			return
+		}
+		stride := bs.msgBits * words
+		mi := 0
+		for pos, player := range members {
+			if v.Mask[pos/64]>>(pos%64)&1 == 1 {
+				bs.deliv[player] = v.Planes[mi*stride : (mi+1)*stride]
+				mi++
+			}
+		}
+		bs.shardPresent[agg] = v.Present
+		bs.shardGot[agg] = true
+	}
 }
 
 // decideBatchShards evaluates a gathered sharded batch word-parallel:

@@ -21,11 +21,13 @@ import (
 // carry up to MaxBatchTrials public-coin seeds at once, nodes answer
 // with packed VOTE_BATCH bitsets, and the referee evaluates a whole
 // batch of verdicts per synchronization. Each slot gets a dedicated
-// writer goroutine fed by an unbounded frame queue: the in-memory
-// transport's writes are fully synchronous (net.Pipe parks the writer
-// until the peer reads), so queueing the next batches' ROUND_BATCH
-// frames while earlier votes are still being gathered is exactly what
-// keeps a window of batches in flight. Every cluster round runs here: a
+// writer goroutine fed by an unbounded frame queue: a write blocks once
+// the transport's buffer toward a busy peer is full, so queueing the next
+// batches' ROUND_BATCH frames while earlier votes are still being
+// gathered is what keeps a window of batches in flight whatever the
+// transport buffers. Each slot also has a persistent reader goroutine,
+// and a gather posts one read request per batch to it, so a settled
+// session starts no goroutine per batch. Every cluster round runs here: a
 // single SMP round is a batch of one. Determinism is untouched — every
 // vote derives from (shared seed, player id) whatever the batch size,
 // and the referee's per-batch evaluation reproduces decideVotes bit for
@@ -99,16 +101,19 @@ func (q *frameQueue) close() {
 
 // batchSlot is the referee side of one connection — a player at the
 // flat root or at an aggregator, an aggregator at the tree's root — with
-// its writer queue, its frame reader and its failure state. The writer,
-// the gatherers and the aggregator all touch the failure state, hence
-// the lock. Only the slot's current gather reads from the connection,
-// and a gathered frame is consumed before the next gather starts, so
-// its votes or sums may alias rd's scratch until then.
+// its writer queue, its reader's request channel, its frame scratch and
+// its failure state. The writer, the reader and the aggregator all
+// touch the failure state, hence the lock. Only the slot's reader reads
+// from the connection, one frame per gather request, and a gathered
+// frame is consumed before the next gather starts, so its votes or sums
+// may alias rd's scratch until then.
 type batchSlot struct {
 	conn       net.Conn
 	id         uint32 // player id; aggregator id at the tree's root
 	q          *frameQueue
 	writerDone chan struct{}
+	reads      chan slotRead // one-deep; closed by stopReaders
+	readerDone chan struct{}
 	rd         frameReader
 
 	mu   sync.Mutex
@@ -117,7 +122,19 @@ type batchSlot struct {
 }
 
 func newBatchSlot(conn net.Conn, id uint32) *batchSlot {
-	return &batchSlot{conn: conn, id: id, q: newFrameQueue(), writerDone: make(chan struct{})}
+	return &batchSlot{
+		conn: conn, id: id, q: newFrameQueue(), writerDone: make(chan struct{}),
+		reads: make(chan slotRead, 1), readerDone: make(chan struct{}),
+	}
+}
+
+// slotRead is one gather request to a slot's persistent reader: read the
+// slot's frame for batch (count trials) and deliver it at index idx of
+// the gatherer's table.
+type slotRead struct {
+	batch uint32
+	count int
+	idx   int
 }
 
 func (b *batchSlot) isDead() bool {
@@ -159,6 +176,9 @@ type batchSession struct {
 	// slots are the root's connections: players by id on the flat star
 	// (nil = absent), aggregators in accept order on the tree.
 	slots []*batchSlot
+
+	// readWG counts the root's outstanding slot reads.
+	readWG sync.WaitGroup
 
 	// parentDone is the Done channel of the context the session was
 	// opened with; waits on node goroutines give up when it closes.
@@ -325,7 +345,7 @@ func (bs *batchSession) startFlat(ctx context.Context) error {
 		return err
 	}
 	bs.slots = slots
-	bs.startWriters(slots)
+	bs.startSlots(slots, bs.deliverVote, &bs.readWG)
 	return nil
 }
 
@@ -350,14 +370,49 @@ func (bs *batchSession) spawnNode(node *PlayerNode, addr net.Addr) {
 	}()
 }
 
-// startWriters starts one writer goroutine per present slot.
-func (bs *batchSession) startWriters(slots []*batchSlot) {
+// startSlots starts one writer and one persistent reader per present
+// slot. The reader serves each gather request with read and reports its
+// completion on done.
+//
+//dut:coldpath once per slot at session set-up; the read hook is bound here, not per batch
+func (bs *batchSession) startSlots(slots []*batchSlot, read func(*batchSlot, slotRead), done *sync.WaitGroup) {
 	for _, slot := range slots {
 		if slot == nil {
 			continue
 		}
 		//lint:ignore dut/ctxprop the writer drains until its frame queue closes (every teardown closes it); cancellation reaches it through failSlot closing the conn
 		go bs.slotWriter(slot)
+		//lint:ignore dut/ctxprop the reader idles until its request channel closes (every teardown closes it); a read in progress ends at its deadline or when teardown closes the conn
+		go slotReader(slot, read, done)
+	}
+}
+
+// stopReaders ends every slot's reader and waits for them to exit. Only
+// the goroutine that gathers from the slots may call it, once its last
+// gather has returned, so no request is in flight.
+func stopReaders(slots []*batchSlot) {
+	for _, slot := range slots {
+		if slot != nil {
+			close(slot.reads)
+		}
+	}
+	for _, slot := range slots {
+		if slot != nil {
+			<-slot.readerDone
+		}
+	}
+}
+
+// slotReader is a slot's persistent reader. It serves one gather request
+// at a time with exactly one read and never reads ahead: the frame it
+// delivers aliases the slot's rd scratch until the next gather.
+//
+//dut:hotpath
+func slotReader(slot *batchSlot, read func(*batchSlot, slotRead), done *sync.WaitGroup) {
+	defer close(slot.readerDone)
+	for r := range slot.reads {
+		read(slot, r)
+		done.Done()
 	}
 }
 
@@ -519,8 +574,7 @@ func (bs *batchSession) runSeeded(ctx context.Context, specs []engine.RoundSpec,
 		if bs.sharded() {
 			received = bs.gatherShards(fl.id, fl.count)
 		} else {
-			//lint:ignore dut/hotalloc one fail-hook method value per batch, amortized across the batch's trials like the gather goroutines it feeds
-			received = bs.gather(bs.slots, bs.deliv, fl.id, fl.count, bs.failSlot)
+			received = gather(bs.slots, bs.deliv, &bs.readWG, fl.id, fl.count)
 		}
 		if i == 0 {
 			// Claim connect retries once the chunk's first batch is gathered:
@@ -653,31 +707,17 @@ func (bs *batchSession) firstSlotErr() error {
 }
 
 // gather collects one batch's VOTE_BATCH (r = 1) or VOTE_BATCH_R
-// (r > 1) from every live slot concurrently. Delivered plane sets land
-// in deliv at the slot's index (nil = absent) — players by id at the
-// flat root, members by shard position at an aggregator — and a slot
-// whose vote batch fails readVotes goes to fail. It returns the number
-// of valid deliveries.
-func (bs *batchSession) gather(slots []*batchSlot, deliv [][]uint64, batchID uint32, count int, fail func(*batchSlot, error)) int {
+// (r > 1) from every live slot at once, through the slots' persistent
+// readers. Delivered plane sets land in deliv at the slot's index
+// (nil = absent) — players by id at the flat root, members by shard
+// position at an aggregator — and a slot whose vote batch fails
+// readVotes is failed by the tier's read hook. It returns the number of
+// valid deliveries.
+//
+//dut:hotpath
+func gather(slots []*batchSlot, deliv [][]uint64, wg *sync.WaitGroup, batchID uint32, count int) int {
 	clear(deliv)
-	var wg sync.WaitGroup
-	for i, slot := range slots {
-		if slot == nil || slot.isDead() {
-			continue
-		}
-		wg.Add(1)
-		//lint:ignore dut/hotalloc one reader goroutine per live member per batch, amortized across the batch's trials
-		go func(i int, slot *batchSlot) {
-			defer wg.Done()
-			planes, err := bs.readVotes(slot, batchID, count)
-			if err != nil {
-				fail(slot, err)
-				return
-			}
-			deliv[i] = planes
-		}(i, slot)
-	}
-	wg.Wait()
+	postReads(slots, wg, batchID, count)
 	received := 0
 	for _, d := range deliv {
 		if d != nil {
@@ -685,6 +725,33 @@ func (bs *batchSession) gather(slots []*batchSlot, deliv [][]uint64, batchID uin
 		}
 	}
 	return received
+}
+
+// postReads hands one read of batch batchID to every live slot's reader
+// and waits for all of them. The request channels never block: every
+// reader finished its previous request before the last gather returned.
+func postReads(slots []*batchSlot, wg *sync.WaitGroup, batchID uint32, count int) {
+	for i, slot := range slots {
+		if slot == nil || slot.isDead() {
+			continue
+		}
+		wg.Add(1)
+		slot.reads <- slotRead{batch: batchID, count: count, idx: i}
+	}
+	wg.Wait()
+}
+
+// deliverVote is the flat root's read hook: one player's vote batch into
+// bs.deliv, or the slot out of the session.
+//
+//dut:hotpath
+func (bs *batchSession) deliverVote(slot *batchSlot, r slotRead) {
+	planes, err := bs.readVotes(slot, r.batch, r.count)
+	if err != nil {
+		bs.failSlot(slot, err)
+		return
+	}
+	bs.deliv[r.idx] = planes
 }
 
 // readVotes reads one slot's vote batch and checks its echoes: the
@@ -887,8 +954,9 @@ func atLeast(planes []uint64, t int) uint64 {
 }
 
 // Close finishes the session: FINISH rides each slot's queue behind any
-// pending verdicts, the writers drain and exit, the aggregators relay
-// it and exit, the nodes unwind, and the connections close.
+// pending verdicts, the writers drain and exit, the idle readers exit,
+// the aggregators relay it and exit, the nodes unwind, and the
+// connections close.
 func (bs *batchSession) Close() error {
 	broadcast(bs.slots, AppendFinish(nil))
 	closeQueues(bs.slots)
@@ -897,6 +965,7 @@ func (bs *batchSession) Close() error {
 			<-slot.writerDone
 		}
 	}
+	stopReaders(bs.slots)
 	// Sharded: FINISH is now on the wire to every aggregator; each one
 	// relays it, drains its pending reductions and exits. Wait for them
 	// before cancelling so a clean shutdown never races the force-close.

@@ -89,6 +89,42 @@ func TestFrameQueueCloseSemantics(t *testing.T) {
 	}
 }
 
+// TestAggBatchQueueSettles pushes and pops a window of pending
+// reductions per cycle: FIFO order holds, and once the backing array
+// reached the window's size a cycle allocates nothing (popping by
+// re-slicing the head used to shrink the capacity, so every batch
+// reallocated). The allocation check skips under the race detector.
+func TestAggBatchQueueSettles(t *testing.T) {
+	q := newAggBatchQueue()
+	const window = 3
+	next := uint32(0)
+	cycle := func() {
+		first := next
+		for i := 0; i < window; i++ {
+			q.push(aggBatch{id: next, count: 1})
+			next++
+		}
+		for want := first; want < next; want++ {
+			if b, ok := q.pop(); !ok || b.id != want {
+				t.Fatalf("pop = (%d, %v), want batch %d", b.id, ok, want)
+			}
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 && !raceEnabled {
+		t.Errorf("a settled push/pop cycle allocates %.1f, want 0", allocs)
+	}
+	q.push(aggBatch{id: next, count: 1})
+	q.close()
+	q.push(aggBatch{id: next + 1, count: 1}) // dropped: the queue is closed
+	if b, ok := q.pop(); !ok || b.id != next {
+		t.Fatalf("pop after close = (%d, %v), want the pending batch %d", b.id, ok, next)
+	}
+	if _, ok := q.pop(); ok {
+		t.Error("pop on a closed drained queue reported ok")
+	}
+}
+
 // TestBatchEmptyChunkPreservesRetries is the regression test for the
 // zero-spec accounting bug: runChunk used to claim accumulated connect
 // retries before checking whether any flight would carry them, silently

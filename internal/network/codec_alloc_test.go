@@ -1,31 +1,25 @@
 package network
 
 import (
+	"context"
 	"net"
 	"testing"
 	"time"
 
 	"github.com/distributed-uniformity/dut/internal/core"
+	"github.com/distributed-uniformity/dut/internal/engine"
 )
-
-// noDeadlineConn drops every deadline call. net.Pipe arms a timer per
-// deadline, which would swamp an allocation count; without them a guard
-// measures the frame codec and the vote path alone.
-type noDeadlineConn struct{ net.Conn }
-
-func (noDeadlineConn) SetDeadline(time.Time) error      { return nil }
-func (noDeadlineConn) SetReadDeadline(time.Time) error  { return nil }
-func (noDeadlineConn) SetWriteDeadline(time.Time) error { return nil }
 
 // TestVoteCodecZeroAllocs guards one steady-state batch round trip on
 // MemTransport with the paper's real rules: the node's serve loop
 // decodes a ROUND_BATCH, samples, runs the collision rule on every
 // trial and encodes its VOTE_BATCH (1-bit FMO vote) or VOTE_BATCH_R
 // (Theorem 6.4's 3-bit quantized count); the referee slot's readVotes
-// decodes and checks it; the node then decodes the VERDICT_BATCH. With
-// deadlines excluded, none of it may allocate once the node's and the
-// slot's scratch are warm. Skipped under the race detector, whose
-// instrumentation allocates.
+// decodes and checks it; the node then decodes the VERDICT_BATCH. Every
+// frame keeps its real read or write deadline, and none of it may
+// allocate once the node's and the slot's scratch and the connection's
+// buffers and deadline timers are warm. Skipped under the race detector,
+// whose instrumentation allocates.
 func TestVoteCodecZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -71,15 +65,14 @@ func TestVoteCodecZeroAllocs(t *testing.T) {
 				}
 				accepted <- c
 			}()
-			nc, err := tr.Dial(l.Addr())
+			nodeConn, err := tr.Dial(l.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}
-			rc, ok := <-accepted
+			refConn, ok := <-accepted
 			if !ok {
 				t.Fatal("accept failed")
 			}
-			nodeConn, refConn := noDeadlineConn{nc}, noDeadlineConn{rc}
 			defer func() { _ = nodeConn.Close(); _ = refConn.Close() }()
 			served := make(chan error, 1)
 			go func() { served <- node.serve(nodeConn) }()
@@ -122,6 +115,75 @@ func TestVoteCodecZeroAllocs(t *testing.T) {
 			}
 			if err := <-served; err != nil {
 				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestSessionBatchZeroAllocs guards one settled batch of a whole
+// MemTransport session with Theorem 6.4's 3-bit quantized tester: the
+// ROUND_BATCH fan-out, every node's sampling and vote, the persistent
+// slot readers' gather, the decide and the verdict fan-out — through two
+// aggregators' relay and reduce on the tree. Every goroutine of the
+// session counts, and every frame keeps its real deadline; none of it
+// may allocate once the session's scratch, buffers and timers are warm.
+// Skipped under the race detector, whose instrumentation allocates.
+func TestSessionBatchZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const (
+		n, k, q, bits = 64, 64, 4, 3
+		batch         = 64
+	)
+	tester, err := core.NewQuantizedSumTester(n, k, q, bits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampler := uniformSampler(t, n)
+	for _, tc := range []struct {
+		name   string
+		shards int
+	}{
+		{"flat", 0},
+		{"tree-2", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewCluster(ClusterConfig{
+				K: k, Q: q,
+				Rule:    tester.Local(),
+				Referee: tester.RefereeFunc(),
+				Timeout: 10 * time.Second,
+				Shards:  tc.shards,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			bs, err := newBatchSession(ctx, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if err := bs.Close(); err != nil {
+					t.Error(err)
+				}
+			}()
+			specs := make([]engine.RoundSpec, batch)
+			for i := range specs {
+				specs[i] = engine.RoundSpec{Seed: 11, Trial: i, Sampler: sampler}
+			}
+			out := make([]engine.RoundResult, batch)
+			step := func() {
+				if err := bs.runChunk(ctx, specs, batch, out); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for range 3 {
+				step() // grows every scratch, buffer and timer the batch touches
+			}
+			if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+				t.Errorf("one settled %d-trial batch allocates %.1f, want 0", batch, allocs)
 			}
 		})
 	}

@@ -303,8 +303,8 @@ func (s *RefereeServer) decideVotes(votes []core.Message, got []bool) (bool, int
 }
 
 func setDeadline(conn net.Conn, d time.Duration) {
-	// net.Pipe supports deadlines; failures here are non-fatal (reads will
-	// still error out on close).
+	// Both transports' connections take deadlines; a failure here is
+	// non-fatal (reads still error out on close).
 	//lint:ignore dut/nondeterminism net deadlines need an absolute instant; bounds frame IO waits, never the verdict
 	_ = conn.SetDeadline(time.Now().Add(d))
 }

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"sync"
@@ -59,8 +60,9 @@ func (TCPTransport) Dial(addr net.Addr) (net.Conn, error) {
 	return net.Dial(addr.Network(), addr.String())
 }
 
-// MemTransport connects through in-process net.Pipe pairs: zero syscalls,
-// fully deterministic scheduling aside from goroutine interleaving.
+// MemTransport connects through in-process buffered connections (see
+// memConn): zero syscalls, fully deterministic scheduling aside from
+// goroutine interleaving.
 type MemTransport struct {
 	mu        sync.Mutex
 	listeners map[string]*memListener
@@ -100,7 +102,7 @@ func (m *MemTransport) Dial(addr net.Addr) (net.Conn, error) {
 	if !ok {
 		return nil, fmt.Errorf("network: no in-memory listener at %q", addr)
 	}
-	client, server := net.Pipe()
+	client, server := newMemConnPair(l.addr)
 	select {
 	case l.accept <- server:
 		return client, nil
@@ -170,3 +172,221 @@ func (l *memListener) Close() error {
 }
 
 func (l *memListener) Addr() net.Addr { return l.addr }
+
+// memBufSize is the capacity of each direction of a memConn. A writer
+// blocks only once this many bytes wait unread, so a stalled reader
+// still pushes back on its peer and write deadlines still fire. The
+// buffer grows to its high-water mark on demand, so a connection that
+// only ever carries small frames holds little.
+const memBufSize = 4 << 10
+
+// memConn is one end of an in-memory connection: a buffered net.Conn
+// whose errors match net.Pipe's. Read after the local Close fails with
+// io.ErrClosedPipe; Read after the peer's Close returns the buffered
+// bytes, then io.EOF; Write after either Close fails with
+// io.ErrClosedPipe; a blown deadline fails with os.ErrDeadlineExceeded.
+// Unlike net.Pipe, a Write returns as soon as its bytes are buffered, and
+// deadlines cost no allocation once a direction's timer exists.
+type memConn struct {
+	rx, tx *memPipe // peer -> this end, this end -> peer
+	addr   memAddr
+}
+
+// newMemConnPair returns the two ends of a fresh connection.
+//
+//dut:coldpath once per dialed connection
+func newMemConnPair(addr memAddr) (client, server *memConn) {
+	up, down := newMemPipe(), newMemPipe()
+	return &memConn{rx: down, tx: up, addr: addr}, &memConn{rx: up, tx: down, addr: addr}
+}
+
+// memPipe is one direction of a memConn: the bytes written and not yet
+// read, both ends' close flags, and the reading end's read deadline and
+// the writing end's write deadline. One lock and one condition variable
+// cover all of it; a blocked Read waits for bytes, a blocked Write for
+// room, and both for a close or their deadline.
+type memPipe struct {
+	mu   sync.Mutex
+	cond sync.Cond
+	buf  []byte // unread bytes are buf[off:]
+	off  int
+
+	rclosed, wclosed bool      // the reading / writing end closed
+	rdl, wdl         time.Time // zero = no deadline
+
+	// timer wakes the waiters when a deadline passes. It is created on
+	// first use and armed for the instant armed (zero = idle). A later
+	// deadline leaves it alone, so a stream of ever-later deadlines costs
+	// no timer operation; when it fires it re-arms for whatever deadline
+	// is still ahead.
+	timer *time.Timer
+	armed time.Time
+}
+
+func newMemPipe() *memPipe {
+	p := &memPipe{}
+	p.cond.L = &p.mu
+	return p
+}
+
+// expired reports whether deadline dl is set and has passed.
+func expired(dl time.Time) bool {
+	//lint:ignore dut/nondeterminism deadlines are absolute instants; bounds frame IO waits, never the verdict
+	return !dl.IsZero() && !time.Now().Before(dl)
+}
+
+func (p *memPipe) read(b []byte) (int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for {
+		unread := len(p.buf) - p.off
+		switch {
+		case p.rclosed:
+			return 0, io.ErrClosedPipe
+		case unread == 0 && p.wclosed:
+			return 0, io.EOF
+		case expired(p.rdl):
+			return 0, os.ErrDeadlineExceeded
+		case unread > 0 || len(b) == 0:
+			n := copy(b, p.buf[p.off:])
+			p.off += n
+			if p.off == len(p.buf) {
+				p.buf, p.off = p.buf[:0], 0
+			}
+			p.cond.Broadcast() // room for a blocked writer
+			return n, nil
+		}
+		p.cond.Wait()
+	}
+}
+
+func (p *memPipe) write(b []byte) (int, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for {
+		switch {
+		case p.rclosed || p.wclosed:
+			return n, io.ErrClosedPipe
+		case expired(p.wdl):
+			return n, os.ErrDeadlineExceeded
+		}
+		if room := memBufSize - (len(p.buf) - p.off); room > 0 || n == len(b) {
+			m := min(room, len(b)-n)
+			if p.off > 0 && len(p.buf)+m > cap(p.buf) {
+				// Slide the unread bytes down rather than grow past the
+				// high-water mark.
+				p.buf, p.off = p.buf[:copy(p.buf, p.buf[p.off:])], 0
+			}
+			p.buf = append(p.buf, b[n:n+m]...)
+			n += m
+			p.cond.Broadcast() // bytes for a blocked reader
+			if n == len(b) {
+				return n, nil
+			}
+			continue
+		}
+		p.cond.Wait()
+	}
+}
+
+// setDeadline stores deadline t into dl (p.rdl or p.wdl) and makes sure
+// the timer fires by then. Callers hold p.mu.
+func (p *memPipe) setDeadline(dl *time.Time, t time.Time) error {
+	if p.rclosed || p.wclosed {
+		return io.ErrClosedPipe
+	}
+	*dl = t
+	if t.IsZero() || (!p.armed.IsZero() && !t.Before(p.armed)) {
+		return nil // the armed timer fires first, then re-arms for t
+	}
+	wait := time.Until(t)
+	if wait <= 0 {
+		p.cond.Broadcast() // a deadline in the past fails blocked calls at once
+		return nil
+	}
+	p.armed = t
+	if p.timer == nil {
+		p.timer = time.AfterFunc(wait, p.fire)
+	} else {
+		p.timer.Reset(wait)
+	}
+	return nil
+}
+
+// fire is the deadline timer's callback: wake the waiters if a deadline
+// has passed, and re-arm for the earliest deadline still ahead.
+func (p *memPipe) fire() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.armed = time.Time{}
+	if p.rclosed || p.wclosed {
+		return
+	}
+	//lint:ignore dut/nondeterminism deadlines are absolute instants; bounds frame IO waits, never the verdict
+	now := time.Now()
+	var next time.Time
+	for _, dl := range [...]time.Time{p.rdl, p.wdl} {
+		switch {
+		case dl.IsZero():
+		case !now.Before(dl):
+			p.cond.Broadcast()
+		case next.IsZero() || dl.Before(next):
+			next = dl
+		}
+	}
+	if !next.IsZero() {
+		p.armed = next
+		p.timer.Reset(next.Sub(now))
+	}
+}
+
+// closeEnd marks one end of the pipe closed and releases every waiter;
+// no call on a pipe with a closed end ever blocks again, so the timer
+// is no longer needed.
+func (p *memPipe) closeEnd(reader bool) {
+	p.mu.Lock()
+	if reader {
+		p.rclosed = true
+	} else {
+		p.wclosed = true
+	}
+	if p.timer != nil {
+		p.timer.Stop()
+		p.armed = time.Time{}
+	}
+	p.mu.Unlock()
+	p.cond.Broadcast()
+}
+
+func (c *memConn) Read(b []byte) (int, error)  { return c.rx.read(b) }
+func (c *memConn) Write(b []byte) (int, error) { return c.tx.write(b) }
+
+// Close closes this end; it is idempotent, like net.Pipe's.
+func (c *memConn) Close() error {
+	c.rx.closeEnd(true)
+	c.tx.closeEnd(false)
+	return nil
+}
+
+func (c *memConn) SetReadDeadline(t time.Time) error {
+	c.rx.mu.Lock()
+	defer c.rx.mu.Unlock()
+	return c.rx.setDeadline(&c.rx.rdl, t)
+}
+
+func (c *memConn) SetWriteDeadline(t time.Time) error {
+	c.tx.mu.Lock()
+	defer c.tx.mu.Unlock()
+	return c.tx.setDeadline(&c.tx.wdl, t)
+}
+
+func (c *memConn) SetDeadline(t time.Time) error {
+	if err := c.SetReadDeadline(t); err != nil {
+		return err
+	}
+	return c.SetWriteDeadline(t)
+}
+
+func (c *memConn) LocalAddr() net.Addr  { return c.addr }
+func (c *memConn) RemoteAddr() net.Addr { return c.addr }
