@@ -13,8 +13,9 @@ import (
 // Allocation guards for the CONGEST scratch path: a steady-state trial —
 // sampling, voting, BFS-tree aggregation on the simulator, verdict
 // broadcast — must not touch the allocator at all. Every piece of
-// per-trial state (node status slices, outbox/inbox slots, explorer
-// scratch, the verdict sink) lives on the worker's reusable scratch.
+// per-trial state (node status slices, outbox/inbox slots, wake sets,
+// explorer scratch, the verdict sink) lives on the worker's reusable
+// scratch.
 
 func allocTester(t *testing.T) *Tester {
 	t.Helper()
@@ -22,6 +23,11 @@ func allocTester(t *testing.T) *Tester {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return allocTesterOn(t, g)
+}
+
+func allocTesterOn(t *testing.T, g *Graph) *Tester {
+	t.Helper()
 	rule := core.RuleFunc(func(player int, samples []int, shared uint64, private *rand.Rand) (core.Message, error) {
 		h := shared ^ uint64(player)*0x9e3779b97f4a7c15
 		for _, s := range samples {
@@ -55,23 +61,41 @@ func allocSampler(t *testing.T) dist.Sampler {
 
 // TestCONGESTScratchRunAllocs holds the steady-state seeded run to zero
 // allocations (the pre-position-indexed simulator spent 17 per trial on
-// status maps, explorer slices and the escaping verdict).
+// status maps, explorer slices and the escaping verdict). Complete(5)
+// keeps every node active in every round; Grid(8,8) keeps most nodes
+// asleep in most rounds, so it holds the wake sets and the partial inbox
+// clears to zero too.
 func TestCONGESTScratchRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	tester := allocTester(t)
-	sampler := allocSampler(t)
-	sc := tester.newScratch()
-	shared := uint64(0)
-	allocs := testing.AllocsPerRun(200, func() {
-		shared++
-		if _, _, err := tester.runSeededScratch(sampler, shared, sc); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("CONGEST scratch run allocates %.2f per trial, want 0", allocs)
+	complete, err := Complete(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid, err := Grid(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+	}{{"complete5", complete}, {"grid8x8", grid}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tester := allocTesterOn(t, tc.g)
+			sampler := allocSampler(t)
+			sc := tester.newScratch()
+			shared := uint64(0)
+			allocs := testing.AllocsPerRun(200, func() {
+				shared++
+				if _, _, err := tester.runSeededScratch(sampler, shared, sc); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 0 {
+				t.Fatalf("CONGEST scratch run allocates %.2f per trial, want 0", allocs)
+			}
+		})
 	}
 }
 

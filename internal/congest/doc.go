@@ -13,7 +13,14 @@
 //   - Graph: immutable undirected graphs with standard builders (path,
 //     ring, star, complete, grid, random tree) and BFS.
 //   - Simulator: a deterministic synchronous-round engine with per-edge
-//     message-size accounting; protocols are node state machines.
+//     message-size accounting; protocols are node state machines. It is
+//     event-driven, so a round costs the nodes it wakes, not n: every
+//     node is stepped in round 0, and after that a node that has not
+//     terminated is stepped only in a round in which it has mail, or
+//     after a step in which it called Outbox.StayAwake (a node that
+//     needs the clock calls it on every step). When nodes are still
+//     running but no message is in flight and no node is awake, Run
+//     reports the deadlock at once instead of waiting out maxRounds.
 //   - UniformityProtocol: the tree-aggregation tester — build a BFS tree
 //     from a root, have every node vote with the same local collision rule
 //     the SMP testers use, convergecast the rejection count, apply the

@@ -226,21 +226,26 @@ func (n *uniformityNode) Step(_ int, in Inbox, out *Outbox) (bool, error) {
 
 	// 4. Convergecast once the subtree is accounted for. If a control
 	// message (CHILD) already went to the parent this round, wait one
-	// round rather than double-send on the edge.
-	if n.adopted && n.waveSent && !n.reportSent && n.allResolved() &&
-		n.reportsIn == n.childCount && (n.root || !out.Queued(n.parent)) {
+	// round rather than double-send on the edge. No mail need arrive to
+	// step the node in that round, so it asks to stay awake: this is the
+	// protocol's only action that is not a reply to a message.
+	if n.adopted && n.waveSent && !n.reportSent && n.allResolved() && n.reportsIn == n.childCount {
 		total := n.scoreSum + n.score
-		if n.root {
+		switch {
+		case n.root:
 			accept := total < uint64(n.threshold)
 			n.verdict = accept
 			n.verdictSeen = true
 			*n.result = accept
-		} else {
+			n.reportSent = true
+		case out.Queued(n.parent):
+			out.StayAwake()
+		default:
 			if err := out.Send(n.parent, encode(tagReport, total)); err != nil {
 				return false, err
 			}
+			n.reportSent = true
 		}
-		n.reportSent = true
 	}
 
 	// 5. Broadcast the verdict down the tree and terminate.
@@ -516,8 +521,10 @@ func (t *Tester) runSeededScratch(sampler dist.Sampler, shared uint64, sc *runSc
 	} else {
 		sc.sim.Reset()
 	}
-	// BFS + convergecast + broadcast each take O(diameter) rounds; 8D+16
-	// is a generous envelope that still catches deadlocks.
+	// BFS + convergecast + broadcast each take O(diameter) rounds, and
+	// diameter < n, so 8n+16 is a generous envelope. It only bounds a
+	// livelock: the simulator reports a deadlock (no mail in flight, no
+	// node awake) at the round it happens.
 	maxRounds := 8*n + 16
 	if err := sc.sim.Run(maxRounds); err != nil {
 		return false, nil, err

@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/distributed-uniformity/dut/internal/dist"
 )
@@ -14,11 +15,20 @@ import (
 // fakeBackend decides each round from the canonical player streams, so
 // its verdicts are a pure function of (seed, trial) and any scheduling
 // nondeterminism in the driver would show up as verdict flips.
+//
+// With failAt >= 0, trial failAt errors and every later trial blocks
+// until the run's context is cancelled, so no later trial can complete
+// however the workers are scheduled. A later trial that is still
+// blocked after abortWait counts in escaped: the abort never reached it.
 type fakeBackend struct {
 	players int
 	failAt  int // trial index that errors; -1 disables
 	ran     atomic.Int64
+	escaped atomic.Int64
 }
+
+// abortWait is how long a trial after failAt waits for the abort.
+const abortWait = 30 * time.Second
 
 func (b *fakeBackend) Players() int { return b.players }
 
@@ -28,6 +38,15 @@ func (b *fakeBackend) RunRound(ctx context.Context, spec RoundSpec) (RoundResult
 	}
 	if spec.Trial == b.failAt {
 		return RoundResult{}, fmt.Errorf("injected failure at trial %d", spec.Trial)
+	}
+	if b.failAt >= 0 && spec.Trial > b.failAt {
+		select {
+		case <-ctx.Done():
+			return RoundResult{}, ctx.Err()
+		case <-time.After(abortWait):
+			b.escaped.Add(1)
+			return RoundResult{}, fmt.Errorf("trial %d not aborted within %v", spec.Trial, abortWait)
+		}
 	}
 	b.ran.Add(1)
 	accept := PlayerRNG(spec.Seed, spec.Trial, 0).Uint64()&1 == 0
@@ -101,9 +120,13 @@ func TestRunAbortsOnFirstError(t *testing.T) {
 	if want := "injected failure at trial 3"; !errorContains(err, want) {
 		t.Fatalf("error %q does not mention %q", err, want)
 	}
-	// The abort must actually skip work: with trial 3 failing almost
-	// immediately, nowhere near all trials may run.
-	if ran := b.ran.Load(); ran >= trials-4 {
+	// The abort must actually skip work: every trial after the failing
+	// one waits for the cancellation, so at most the trials before it
+	// can have run.
+	if escaped := b.escaped.Load(); escaped > 0 {
+		t.Fatalf("%d trials after the failure were never aborted", escaped)
+	}
+	if ran := b.ran.Load(); ran > int64(b.failAt) {
 		t.Fatalf("%d of %d trials ran despite the abort", ran, trials)
 	}
 }
