@@ -18,7 +18,7 @@ BENCH_WINDOW ?=
 # 5000x for a fixed trial count (what CI uses for stable allocs/op).
 BENCH_TIME ?= 1s
 
-.PHONY: all build vet staticcheck govulncheck lint lint-json lint-escape test test-short test-race cover bench bench-all bench-history verify results clean
+.PHONY: all build vet staticcheck govulncheck lint lint-json lint-escape test test-short test-race cover bench bench-all verify results clean
 
 all: build test
 
@@ -113,29 +113,17 @@ cover:
 # B/op, allocs/op) are printed before it is overwritten. BENCH_BATCH /
 # BENCH_WINDOW select the wire batch geometry, BENCH_TIME the benchtime,
 # and BENCH_MAX_REGRESS / BENCH_REGRESS_METRIC the regression gate.
+# Trends across commits are perfbench's (`perfbench/run.py --history`).
 bench:
 	BENCH_BATCH=$(BENCH_BATCH) BENCH_WINDOW=$(BENCH_WINDOW) \
 		$(GO) test -bench . -benchmem -benchtime $(BENCH_TIME) -run '^$$' ./internal/engine | tee bench_engine.txt
 	$(GO) run ./cmd/benchjson -baseline BENCH_engine.json -o BENCH_engine.json \
 		-max-regress $(BENCH_MAX_REGRESS) -regress-metric $(BENCH_REGRESS_METRIC) < bench_engine.txt
 	@echo "wrote BENCH_engine.json"
-	@mkdir -p results/bench
-	@sha="$$(git rev-parse --short HEAD 2>/dev/null || echo nogit)"; \
-	dirty=""; \
-	if [ -n "$$(git status --porcelain -- . ':!BENCH_engine.json' ':!bench_engine.txt' ':!results' 2>/dev/null)" ]; then dirty="-dirty"; fi; \
-	cp BENCH_engine.json "results/bench/$$sha$$dirty.json"; \
-	echo "archived results/bench/$$sha$$dirty.json"
 
 # Every benchmark in the repository (experiments + micro-benchmarks).
 bench-all:
 	$(GO) test -bench=. -benchmem ./...
-
-# Per-benchmark trend table over the archived `make bench` reports:
-# trials/sec and allocs/op per commit, rendered to
-# results/bench/TREND.md. CI regenerates and uploads it next to
-# BENCH_engine.json after the bench gate.
-bench-history:
-	$(GO) run ./cmd/benchjson -history results/bench
 
 # Numeric verification of every lemma/claim (exhaustive small instances).
 verify:
@@ -143,7 +131,7 @@ verify:
 
 # Regenerate every experiment table quoted in EXPERIMENTS.md.
 results:
-	$(GO) run ./cmd/dut-bench -scale 1 -seed 1 -out results -csv
+	$(GO) run ./cmd/dut exp -id all -scale 1 -seed 1 -out results -csv
 
 clean:
 	rm -f test_output.txt bench_output.txt bench_engine.txt dutlint.json

@@ -8,8 +8,8 @@ package dut
 //
 //	go test -bench=. -benchmem
 //
-// for the harness, and cmd/dut-bench for the full-scale tables written to
-// results/ and quoted in EXPERIMENTS.md.
+// for the harness, and `dut exp -id all -out results -csv` for the
+// full-scale tables written to results/ and quoted in EXPERIMENTS.md.
 
 import (
 	"context"

@@ -21,17 +21,12 @@
 // the gate (they are new), and the report is still written so the
 // failing run can be inspected.
 //
-// With -history DIR, benchjson reads nothing from stdin; instead it
-// loads every archived report in DIR (the results/bench directory
-// `make bench` appends to, one <sha>.json per run) and renders a
-// per-benchmark trend table — trials/sec and allocs/op per commit — as
-// markdown. The table goes to DIR/TREND.md unless -o overrides it;
-// `make bench-history` is the wired-up entry point.
+// Trends across commits are perfbench's job (`perfbench --history`);
+// benchjson only compares one run with the committed report.
 //
 // Usage:
 //
 //	go test -bench . -benchmem -run '^$' ./internal/engine | benchjson -baseline BENCH_engine.json -o BENCH_engine.json -max-regress 20
-//	benchjson -history results/bench
 package main
 
 import (
@@ -41,11 +36,8 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // Benchmark is one parsed `go test -bench` result line.
@@ -95,22 +87,7 @@ func main() {
 		"fail (exit 1) when -regress-metric regresses more than this percentage vs -baseline; 0 disables the gate")
 	regressMetric := flag.String("regress-metric", metricTrialsPerSec,
 		"metric the -max-regress gate compares: trials_per_sec or allocs_per_op")
-	history := flag.String("history", "",
-		"directory of archived reports (results/bench): render a per-benchmark trend table instead of reading stdin")
 	flag.Parse()
-	if *history != "" {
-		outPath := filepath.Join(*history, "TREND.md")
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "o" {
-				outPath = *out
-			}
-		})
-		if err := writeTrend(*history, outPath); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if *maxRegress < 0 || *maxRegress > 100 {
 		fmt.Fprintf(os.Stderr, "benchjson: -max-regress %v outside [0,100]\n", *maxRegress)
 		os.Exit(2)
@@ -216,113 +193,6 @@ func findRegressions(base, cur Report, maxPct float64, metric string) []string {
 		}
 	}
 	return out
-}
-
-// trendRun is one archived report, labelled by the commit its file is
-// named after.
-type trendRun struct {
-	label  string
-	mod    time.Time
-	report Report
-}
-
-// loadHistory reads every .json report under dir and orders the runs
-// oldest to newest. The archive files are named by commit hash, which
-// carries no ordering, so the file modification time stands in for the
-// run order (`make bench` writes each archive as it runs); ties break
-// by name for determinism.
-func loadHistory(dir string) ([]trendRun, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var runs []trendRun
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			return nil, err
-		}
-		report, err := readReport(filepath.Join(dir, e.Name()))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: skipping %s: %v\n", e.Name(), err)
-			continue
-		}
-		runs = append(runs, trendRun{
-			label:  strings.TrimSuffix(e.Name(), ".json"),
-			mod:    info.ModTime(),
-			report: report,
-		})
-	}
-	sort.Slice(runs, func(i, j int) bool {
-		if !runs[i].mod.Equal(runs[j].mod) {
-			return runs[i].mod.Before(runs[j].mod)
-		}
-		return runs[i].label < runs[j].label
-	})
-	return runs, nil
-}
-
-// renderTrend formats the archived runs as one markdown table per
-// benchmark, benchmarks ordered by first appearance across the history
-// and runs oldest first. Runs missing a benchmark are simply absent
-// from its table.
-func renderTrend(runs []trendRun) string {
-	var order []string
-	type point struct {
-		label  string
-		trials float64
-		allocs string
-	}
-	series := make(map[string][]point)
-	for _, run := range runs {
-		for _, b := range run.report.Benchmarks {
-			if _, seen := series[b.Name]; !seen {
-				order = append(order, b.Name)
-			}
-			allocs := "n/a"
-			if a, ok := b.allocs(); ok {
-				allocs = strconv.FormatInt(a, 10)
-			}
-			series[b.Name] = append(series[b.Name], point{
-				label:  run.label,
-				trials: b.TrialsPerSec,
-				allocs: allocs,
-			})
-		}
-	}
-	var sb strings.Builder
-	sb.WriteString("# Engine benchmark trend\n\n")
-	sb.WriteString("Generated by `benchjson -history` (`make bench-history`) from the\n")
-	sb.WriteString("archived reports in this directory — one per `make bench` run, named\n")
-	sb.WriteString("by commit. Runs are ordered oldest to newest by archive time.\n")
-	for _, name := range order {
-		fmt.Fprintf(&sb, "\n## %s\n\n", name)
-		sb.WriteString("| run | trials/sec | allocs/op |\n")
-		sb.WriteString("|:--|--:|--:|\n")
-		for _, p := range series[name] {
-			fmt.Fprintf(&sb, "| `%s` | %.0f | %s |\n", p.label, p.trials, p.allocs)
-		}
-	}
-	return sb.String()
-}
-
-// writeTrend renders dir's archive into a trend table at out.
-func writeTrend(dir, out string) error {
-	runs, err := loadHistory(dir)
-	if err != nil {
-		return err
-	}
-	if len(runs) == 0 {
-		return fmt.Errorf("no benchmark archives in %s", dir)
-	}
-	if err := os.WriteFile(out, []byte(renderTrend(runs)), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "benchjson: wrote %s from %d archived run(s)\n", out, len(runs))
-	return nil
 }
 
 // readReport loads a previously written benchjson file.

@@ -3,11 +3,8 @@ package main
 import (
 	"encoding/json"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 const sample = `goos: linux
@@ -147,66 +144,6 @@ func TestParseRejectsMalformedCounts(t *testing.T) {
 	}
 	if _, err := parse(strings.NewReader("BenchmarkX 5 yy ns/op\n")); err == nil {
 		t.Error("bad ns/op accepted")
-	}
-}
-
-func TestTrendFromHistory(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, r Report, at time.Time) {
-		t.Helper()
-		enc, err := json.Marshal(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, name)
-		if err := os.WriteFile(path, enc, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Chtimes(path, at, at); err != nil {
-			t.Fatal(err)
-		}
-	}
-	base := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
-	// Written out of lexical order: the modification time, not the name,
-	// must order the runs.
-	write("bbb2222.json", Report{Benchmarks: []Benchmark{
-		{Name: "EngineSMP", TrialsPerSec: 2000, AllocsPerOp: allocsPtr(0)},
-		{Name: "EngineNew", TrialsPerSec: 99},
-	}}, base.Add(time.Hour))
-	write("aaa1111.json", Report{Benchmarks: []Benchmark{
-		{Name: "EngineSMP", TrialsPerSec: 1000, AllocsPerOp: allocsPtr(3)},
-	}}, base)
-	write("not-a-report.txt", Report{}, base)
-
-	runs, err := loadHistory(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(runs) != 2 || runs[0].label != "aaa1111" || runs[1].label != "bbb2222" {
-		t.Fatalf("loadHistory order = %+v, want aaa1111 then bbb2222", runs)
-	}
-	out := renderTrend(runs)
-	for _, want := range []string{
-		"## EngineSMP",
-		"## EngineNew",
-		"| `aaa1111` | 1000 | 3 |",
-		"| `bbb2222` | 2000 | 0 |",
-		"| `bbb2222` | 99 | n/a |",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trend missing %q:\n%s", want, out)
-		}
-	}
-	// Oldest run first within a benchmark's table.
-	if strings.Index(out, "aaa1111") > strings.Index(out, "bbb2222") {
-		t.Errorf("runs out of order:\n%s", out)
-	}
-	trend := filepath.Join(dir, "TREND.md")
-	if err := writeTrend(dir, trend); err != nil {
-		t.Fatal(err)
-	}
-	if data, err := os.ReadFile(trend); err != nil || string(data) != out {
-		t.Errorf("writeTrend wrote a different table (err=%v)", err)
 	}
 }
 

@@ -11,8 +11,10 @@
 //	dut bounds  — print the paper's lower-bound formulas evaluated at the
 //	              given parameters, next to the matching upper-bound
 //	              recommendations.
-//	dut exp     — run one experiment from the registry and print its
-//	              table (default E21, the Theorem 6.4 r-bit decay sweep).
+//	dut exp     — run experiments from the registry and print their
+//	              tables (default E21, the Theorem 6.4 r-bit decay sweep;
+//	              -id all runs every one), optionally writing each as
+//	              markdown and CSV under -out (`make results`).
 //	dut verify  — shorthand pointing at cmd/dut-verify.
 package main
 
@@ -23,6 +25,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -72,7 +75,7 @@ func usage() {
   dut test    [-n N] [-eps E] [-mode collision|chisq|threshold|and] [-k K] [-q Q] [-source uniform|zipf|hard|stdin] [-trials T] [-seed S]
   dut netdemo [-n N] [-eps E] [-k K] [-q Q] [-bits R] [-tcp] [-seed S] [-rounds R] [-minvotes M] [-crash C] [-delay D] [-batch B] [-window W] [-shards S | -aggregators A] [-aggweights W1,W2,...] [-shardseed S]
   dut bounds  [-n N] [-eps E] [-k K] [-T T] [-r R] [-q Q]
-  dut exp     [-id E21] [-scale S] [-seed S] [-par P] [-list]
+  dut exp     [-id E21 | -id E1,E2 | -id all] [-scale S] [-seed S] [-par P] [-out DIR] [-csv] [-list]
 `)
 }
 
@@ -562,11 +565,13 @@ func runDemo(cluster *network.Cluster, sampler dist.Sampler, rng *rand.Rand, rou
 func cmdExp(args []string) int {
 	fs := flag.NewFlagSet("exp", flag.ContinueOnError)
 	var (
-		id    = fs.String("id", "E21", "experiment ID from the registry")
-		list  = fs.Bool("list", false, "list registered experiments and exit")
-		scale = fs.Float64("scale", 1, "trial-count multiplier (smaller = faster smoke run)")
-		seed  = fs.Uint64("seed", 1, "random seed")
-		par   = fs.Int("par", 0, "worker parallelism (0 = GOMAXPROCS)")
+		ids    = fs.String("id", "E21", "experiment IDs from the registry: one, a comma-separated list, or all")
+		list   = fs.Bool("list", false, "list registered experiments and exit")
+		scale  = fs.Float64("scale", 1, "trial-count multiplier (smaller = faster smoke run)")
+		seed   = fs.Uint64("seed", 1, "random seed")
+		par    = fs.Int("par", 0, "worker parallelism (0 = GOMAXPROCS)")
+		outDir = fs.String("out", "", "also write each table to DIR/<id>.md")
+		csv    = fs.Bool("csv", false, "with -out, also write DIR/<id>.csv")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -577,18 +582,66 @@ func cmdExp(args []string) int {
 		}
 		return 0
 	}
-	e, ok := experiments.ByID(*id)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "dut exp: unknown experiment %q; -list prints the registry\n", *id)
+	if *csv && *outDir == "" {
+		fmt.Fprintln(os.Stderr, "dut exp: -csv needs -out")
 		return 2
 	}
-	table, err := e.Run(experiments.Config{Scale: *scale, Seed: *seed, Parallelism: *par})
+	exps, err := selectExperiments(*ids)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dut exp: %v\n", err)
+		fmt.Fprintf(os.Stderr, "dut exp: %v; -list prints the registry\n", err)
+		return 2
+	}
+	if *outDir != "" {
+		if err := os.MkdirAll(*outDir, 0o755); err != nil {
+			fmt.Fprintf(os.Stderr, "dut exp: %v\n", err)
+			return 1
+		}
+	}
+	cfg := experiments.Config{Scale: *scale, Seed: *seed, Parallelism: *par}
+	failures := 0
+	for _, e := range exps {
+		table, err := e.Run(cfg)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dut exp: %s: %v\n", e.ID, err)
+			failures++
+			continue
+		}
+		md := table.Markdown()
+		fmt.Println(md)
+		if *outDir == "" {
+			continue
+		}
+		path := filepath.Join(*outDir, e.ID)
+		err = os.WriteFile(path+".md", []byte(md), 0o644)
+		if err == nil && *csv {
+			err = os.WriteFile(path+".csv", []byte(table.CSV()), 0o644)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dut exp: %v\n", err)
+			failures++
+		}
+	}
+	if failures > 0 {
 		return 1
 	}
-	fmt.Println(table.Markdown())
 	return 0
+}
+
+// selectExperiments resolves -id: "all" is the whole registry in order,
+// anything else a comma-separated list of IDs, each of which must exist.
+func selectExperiments(ids string) ([]experiments.Experiment, error) {
+	if ids == "all" {
+		return experiments.Registry(), nil
+	}
+	var exps []experiments.Experiment
+	for _, id := range strings.Split(ids, ",") {
+		e, ok := experiments.ByID(strings.TrimSpace(id))
+		if !ok {
+			return nil, fmt.Errorf("unknown experiment %q", id)
+		}
+		exps = append(exps, e)
+	}
+	return exps, nil
 }
 
 func cmdBounds(args []string) int {

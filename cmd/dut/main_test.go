@@ -2,6 +2,9 @@ package main
 
 import (
 	"math/rand/v2"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -141,4 +144,67 @@ func TestCmdNetDemoBatched(t *testing.T) {
 
 func newTestRand() *rand.Rand {
 	return rand.New(rand.NewPCG(7, 11))
+}
+
+func TestCmdExpList(t *testing.T) {
+	if code := cmdExp([]string{"-list"}); code != 0 {
+		t.Errorf("list exit = %d", code)
+	}
+}
+
+func TestCmdExpWritesTables(t *testing.T) {
+	dir := t.TempDir()
+	// E10 is exact and fast at any scale.
+	if code := cmdExp([]string{"-id", "E10", "-scale", "0.05", "-out", dir, "-csv"}); code != 0 {
+		t.Fatalf("exit = %d", code)
+	}
+	md, err := os.ReadFile(filepath.Join(dir, "E10.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(md), "E10") {
+		t.Error("markdown output missing experiment content")
+	}
+	csv, err := os.ReadFile(filepath.Join(dir, "E10.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(csv), "residual") {
+		t.Error("csv output missing header")
+	}
+	// Unselected experiments must not be written.
+	if _, err := os.Stat(filepath.Join(dir, "E1.md")); !os.IsNotExist(err) {
+		t.Error("unselected experiment was written")
+	}
+}
+
+func TestCmdExpUnknownIDWritesNothing(t *testing.T) {
+	dir := t.TempDir()
+	// One unknown ID in the list rejects the whole selection before any
+	// experiment runs.
+	if code := cmdExp([]string{"-id", "E10,E99", "-scale", "0.05", "-out", dir}); code != 2 {
+		t.Errorf("unknown id exit = %d, want 2", code)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Errorf("unexpected outputs: %v", entries)
+	}
+	if code := cmdExp([]string{"-id", "E10", "-csv"}); code != 2 {
+		t.Errorf("-csv without -out exit = %d, want 2", code)
+	}
+}
+
+func TestCmdExpBadOutputDir(t *testing.T) {
+	// A file in place of the output directory must fail cleanly.
+	dir := t.TempDir()
+	blocker := filepath.Join(dir, "blocked")
+	if err := os.WriteFile(blocker, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code := cmdExp([]string{"-id", "E10", "-scale", "0.05", "-out", blocker}); code != 1 {
+		t.Errorf("exit = %d, want 1", code)
+	}
 }

@@ -140,8 +140,7 @@ func BenchmarkEngineClusterSharded(b *testing.B) {
 // 100k per-player VERDICT_BATCHes in parallel. A single pinned worker
 // owns the whole 100k-node session: the session's goroutine count
 // already saturates the host, and pinning keeps allocs/op — the
-// CI-gated metric, archived per commit in results/bench/<sha>.json —
-// host-independent.
+// metric the CI gate compares — host-independent.
 func BenchmarkEngineClusterSharded100k(b *testing.B) {
 	const (
 		shardedK    = 100_000

@@ -2,15 +2,11 @@ package network
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net"
-	"os"
 	"sort"
 	"sync"
 	"time"
-
-	"github.com/distributed-uniformity/dut/internal/core"
 )
 
 // This file implements the sharded referee tree: with Topology.Shards
@@ -27,10 +23,12 @@ import (
 // decideVotes fallback is reached with exactly the flat referee's
 // inputs. Quorum and absentee accounting compose per shard through the
 // explicit present-counts every reduced frame carries: the root's
-// received count is the sum of shard present-counts, and the shaped
-// decide adjusts its threshold for the absentees exactly as
-// decideVotes would have (see adjustedThreshold), so verdicts are
-// bit-identical to the flat referee for every rule shape, shard count,
+// received count is the sum of shard present-counts. From there the
+// tree root runs the flat root's decide: the flat star is this tree
+// with one in-process shard of all k players, reduced by the same
+// reduceShard, so the shaped decide (decideShaped, with its
+// presence-adjusted threshold) is one code path for both topologies,
+// and verdicts are bit-identical for every rule shape, shard count,
 // batch size and presence pattern.
 
 // dialAggregator uses per-aggregator dialing when the transport
@@ -198,29 +196,21 @@ func (bs *batchSession) runAggregator(ctx context.Context, a *aggregator, rootAd
 }
 
 // setup runs the aggregator's connect phase: accept the shard's
-// players, start their writers, then dial the root and announce the
-// shard with AGG_HELLO.
+// players into slots by shard position, start their writers, then dial
+// the root and announce the shard with AGG_HELLO. The accept phase is
+// the root's: strict mode waits for every member, quorum mode takes
+// whoever made the accept deadline (the root checks the global quorum
+// against the summed present-counts, so a partial shard is not an
+// error here).
 func (a *aggregator) setup(ctx context.Context, rootAddr net.Addr) error {
-	slots, present, err := a.acceptMembers(ctx)
+	s := a.bs.server
+	slots, present, err := s.acceptSlots(ctx, a.listener, a.bs.tracker, len(a.members), s.timeout, s.helloHandshake(a.placeMember))
 	if err != nil {
-		return err
+		return fmt.Errorf("network: aggregator %d: %w", a.id, err)
 	}
 	a.slots = slots
 	a.bs.startSlots(slots, a.deliverVote, &a.readWG)
-	return a.connectRoot(rootAddr, present)
-}
-
-// acceptMembers accepts the shard's players into slots by shard
-// position, with the root's accept phase: strict mode waits for every
-// member, quorum mode takes whoever made the accept deadline (the root
-// checks the global quorum against the summed present-counts, so a
-// partial shard is not an error here).
-func (a *aggregator) acceptMembers(ctx context.Context) ([]*batchSlot, uint32, error) {
-	slots, present, err := a.bs.server.acceptSlots(ctx, a.listener, a.bs.tracker, len(a.members), a.placeMember)
-	if err != nil {
-		return nil, 0, fmt.Errorf("network: aggregator %d: %w", a.id, err)
-	}
-	return slots, uint32(present), nil
+	return a.connectRoot(rootAddr, uint32(present))
 }
 
 // placeMember validates one player's HELLO against the shard and
@@ -424,30 +414,18 @@ func (a *aggregator) reduceLoop() {
 // so a settled session reduces at zero allocations per batch.
 func (a *aggregator) runBatch(b aggBatch) {
 	bs := a.bs
-	words := batchWords(b.count)
 	received := gather(a.slots, a.deliv, &a.readWG, b.id, b.count)
 	var err error
 	if bs.shapeOK || bs.sumOK {
-		planes := len(bs.planes)
-		need := planes * words
-		if cap(a.sums) < need {
-			a.sums = make([]uint64, need)
-		}
-		sums := a.sums[:need]
-		if bs.shapeOK {
-			reduceThresholdSums(a.deliv, b.count, words, a.col, sums)
-		} else {
-			reduceValueSums(a.deliv, bs.msgBits, words, a.col, sums)
-		}
 		a.enc, err = AppendAggSum(a.enc[:0], AggSum{
 			Agg: a.id, Batch: b.id, Count: uint32(b.count),
-			Bits: uint8(bs.msgBits), Planes: uint8(planes),
-			Present: uint32(received), Sums: sums,
+			Bits: uint8(bs.msgBits), Planes: uint8(len(a.col)),
+			Present: uint32(received), Sums: bs.reduceShard(a.deliv, b.count, a.col, &a.sums),
 		})
 	} else {
 		clear(a.mask)
 		a.fwd = a.fwd[:0]
-		stride := bs.msgBits * words
+		stride := bs.msgBits * batchWords(b.count)
 		for pos, d := range a.deliv {
 			if d == nil {
 				continue
@@ -630,13 +608,12 @@ func (bs *batchSession) peekAggErr() error {
 // sharded reports whether this session runs the two-tier tree.
 func (bs *batchSession) sharded() bool { return bs.aggs != nil }
 
-// startSharded builds the aggregator tier: partition the players,
-// spawn one aggregator goroutine per shard (each with its own
-// listener), point every node at its shard's aggregator, and run the
-// root's AGG_HELLO accept phase.
+// spawnShards builds the aggregator tier: partition the players, spawn
+// one aggregator goroutine per shard (each with its own listener), and
+// point every node at its shard's aggregator.
 //
 //dut:coldpath once-per-session tree construction; shard planning, aggregator spawn and member dialing are amortized across every batch
-func (bs *batchSession) startSharded(ctx context.Context) error {
+func (bs *batchSession) spawnShards(ctx context.Context) error {
 	c := bs.c
 	bs.shards = c.topo.Partition(c.k)
 	nShards := len(bs.shards)
@@ -663,85 +640,33 @@ func (bs *batchSession) startSharded(ctx context.Context) error {
 	for _, node := range bs.nodes {
 		bs.spawnNode(node, addrByPlayer[node.id])
 	}
-	slots, err := bs.acceptAggregators(ctx, bs.listener)
-	if err != nil {
-		return err
-	}
-	bs.slots = slots
-	bs.startSlots(slots, bs.readShard, &bs.readWG)
 	return nil
 }
 
-// acceptAggregators is the root's accept phase on the sharded tree:
-// every shard's AGG_HELLO in strict mode, or whoever made it before
-// the deadline in quorum mode — where the quorum is checked against
-// the summed per-shard present-counts, because one aggregator speaks
-// for a whole shard of players. The deadline is two timeouts: a quorum
-// aggregator holds its own accept phase open for one timeout waiting
-// out stragglers before it dials upstream.
-func (bs *batchSession) acceptAggregators(ctx context.Context, l net.Listener) ([]*batchSlot, error) {
-	s := bs.server
-	nShards := len(bs.shards)
-	if !s.strict() {
-		dl, ok := l.(acceptDeadliner)
-		if !ok {
-			return nil, fmt.Errorf("network: quorum mode needs a listener with accept deadlines (have %T)", l)
-		}
-		//lint:ignore dut/nondeterminism net deadlines need an absolute instant; bounds the accept wait, never the verdict
-		_ = dl.SetDeadline(time.Now().Add(2 * s.timeout))
-		defer func() { _ = dl.SetDeadline(time.Time{}) }()
+// shakeAggregator is the tree root's handshake: one AGG_HELLO, checked
+// by validateAggHello. The slot is the aggregator's id, and it brings
+// its shard's present count.
+func (bs *batchSession) shakeAggregator(conn net.Conn, slots []*batchSlot) (int, uint32, int, error) {
+	setDeadline(conn, bs.server.timeout)
+	h, err := expectFrame[AggHello](conn, FrameAggHello)
+	if err != nil {
+		return 0, 0, 0, fmt.Errorf("network: aggregator hello: %w", err)
 	}
-	slots := make([]*batchSlot, 0, nShards)
-	seen := make([]bool, nShards)
-	present := 0
-	for len(slots) < nShards {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		conn, err := l.Accept()
-		if err != nil {
-			if !s.strict() && errors.Is(err, os.ErrDeadlineExceeded) {
-				if present >= s.minVotes {
-					return slots, nil
-				}
-				return nil, fmt.Errorf("network: quorum not met: %d of %d players connected before the accept deadline, need %d",
-					present, s.k, s.minVotes)
-			}
-			return nil, fmt.Errorf("network: accept: %w", err)
-		}
-		bs.tracker.track(conn)
-		setDeadline(conn, s.timeout)
-		hello, err := expectFrame[AggHello](conn, FrameAggHello)
-		if err != nil {
-			if s.strict() {
-				return nil, fmt.Errorf("network: aggregator hello: %w", err)
-			}
-			_ = conn.Close()
-			continue
-		}
-		if err := bs.validateAggHello(hello, seen); err != nil {
-			if s.strict() {
-				return nil, err
-			}
-			_ = conn.Close()
-			continue
-		}
-		seen[hello.Agg] = true
-		present += int(hello.Present)
-		slots = append(slots, newBatchSlot(conn, hello.Agg))
+	if err := bs.validateAggHello(h, slots); err != nil {
+		return 0, 0, 0, err
 	}
-	return slots, nil
+	return int(h.Agg), h.Agg, int(h.Present), nil
 }
 
 // validateAggHello checks one aggregator's announcement: a known,
 // unduplicated shard id, the pinned message width, and membership that
 // agrees exactly with the deterministic router — the root never trusts
 // a shard map it did not compute itself.
-func (bs *batchSession) validateAggHello(h AggHello, seen []bool) error {
+func (bs *batchSession) validateAggHello(h AggHello, slots []*batchSlot) error {
 	if int(h.Agg) >= len(bs.shards) {
 		return fmt.Errorf("network: aggregator id %d out of range [0, %d)", h.Agg, len(bs.shards))
 	}
-	if seen[h.Agg] {
+	if slots[h.Agg] != nil {
 		return fmt.Errorf("network: duplicate aggregator id %d", h.Agg)
 	}
 	if s := bs.server; s.bits != 0 && int(h.Bits) != s.bits {
@@ -790,80 +715,60 @@ func (bs *batchSession) gatherShards(batchID uint32, count int) int {
 	return received
 }
 
-// readShard is the tree root's read hook: one aggregator's reduced frame
-// for the batch, validated against the shard it speaks for.
+// readShard is the tree root's read hook: one aggregator's reduced
+// frame into the root's gather table, or the slot out of the session.
 //
 //dut:hotpath
 func (bs *batchSession) readShard(slot *batchSlot, r slotRead) {
-	batchID, count := r.batch, r.count
-	shaped := bs.shapeOK || bs.sumOK
-	words := batchWords(count)
-	conn := slot.conn
-	agg := slot.id
+	if err := bs.readReduced(slot, r); err != nil {
+		bs.failSlot(slot, err)
+	}
+}
+
+// readReduced reads one aggregator's reduced frame for the batch —
+// AGG_SUM partial sums for a shaped referee, AGG_PLANES forwarded planes
+// for an opaque one — and validates it against the shard it speaks for.
+// Both kinds echo the same fields, checked first: the connection's
+// aggregator id, the batch id, the trial count and the rule's message
+// width. Forwarded planes are scattered back into bs.deliv by player id.
+func (bs *batchSession) readReduced(slot *batchSlot, r slotRead) error {
+	kind, verb, unit := FrameAggPlanes, "forwarded", "planes"
+	if bs.shapeOK || bs.sumOK {
+		kind, verb, unit = FrameAggSum, "reduced", "sums"
+	}
+	agg, fr := slot.id, &slot.rd
 	// The reduced frame waits on the aggregator's own member gather
 	// (itself budgeted two timeouts) plus the reduction; budget three.
-	setReadDeadline(conn, 3*bs.server.timeout)
-	if shaped {
-		if err := expectFrameInto(conn, &slot.rd, FrameAggSum); err != nil {
-			bs.failSlot(slot, fmt.Errorf("network: reduced batch from aggregator %d: %w", agg, err))
-			return
-		}
-		v := slot.rd.aggSum()
-		if v.Agg != agg {
-			bs.failSlot(slot, fmt.Errorf("network: reduced batch claims aggregator %d on aggregator %d's connection", v.Agg, agg))
-			return
-		}
-		if v.Batch != batchID {
-			bs.failSlot(slot, fmt.Errorf("network: aggregator %d answered batch %d, expected %d", agg, v.Batch, batchID))
-			return
-		}
-		if int(v.Count) != count {
-			bs.failSlot(slot, fmt.Errorf("network: aggregator %d reduced %d trials of batch %d, expected %d", agg, v.Count, v.Batch, count))
-			return
-		}
-		if int(v.Bits) != bs.msgBits {
-			bs.failSlot(slot, fmt.Errorf("network: aggregator %d sent %d-bit sums, the rule uses %d bits", agg, v.Bits, bs.msgBits))
-			return
-		}
+	setReadDeadline(slot.conn, 3*bs.server.timeout)
+	if err := expectFrameInto(slot.conn, fr, kind); err != nil {
+		return fmt.Errorf("network: %s batch from aggregator %d: %w", verb, agg, err)
+	}
+	switch {
+	case fr.agg != agg:
+		return fmt.Errorf("network: %s batch claims aggregator %d on aggregator %d's connection", verb, fr.agg, agg)
+	case fr.batch != r.batch:
+		return fmt.Errorf("network: aggregator %d answered batch %d, expected %d", agg, fr.batch, r.batch)
+	case int(fr.count) != r.count:
+		return fmt.Errorf("network: aggregator %d %s %d trials of batch %d, expected %d", agg, verb, fr.count, fr.batch, r.count)
+	case int(fr.bits) != bs.msgBits:
+		return fmt.Errorf("network: aggregator %d sent %d-bit %s, the rule uses %d bits", agg, fr.bits, unit, bs.msgBits)
+	}
+	members := bs.shards[agg]
+	if kind == FrameAggSum {
+		v := fr.aggSum()
 		if int(v.Planes) != len(bs.planes) {
-			bs.failSlot(slot, fmt.Errorf("network: aggregator %d sent %d counter planes, the referee needs %d", agg, v.Planes, len(bs.planes)))
-			return
+			return fmt.Errorf("network: aggregator %d sent %d counter planes, the referee needs %d", agg, v.Planes, len(bs.planes))
 		}
-		if int(v.Present) > len(bs.shards[agg]) {
-			bs.failSlot(slot, fmt.Errorf("network: aggregator %d reports %d present of %d members", agg, v.Present, len(bs.shards[agg])))
-			return
+		if int(v.Present) > len(members) {
+			return fmt.Errorf("network: aggregator %d reports %d present of %d members", agg, v.Present, len(members))
 		}
 		bs.shardSums[agg] = v.Sums
-		bs.shardPresent[agg] = v.Present
-		bs.shardGot[agg] = true
 	} else {
-		if err := expectFrameInto(conn, &slot.rd, FrameAggPlanes); err != nil {
-			bs.failSlot(slot, fmt.Errorf("network: forwarded batch from aggregator %d: %w", agg, err))
-			return
-		}
-		v := slot.rd.aggPlanes()
-		if v.Agg != agg {
-			bs.failSlot(slot, fmt.Errorf("network: forwarded batch claims aggregator %d on aggregator %d's connection", v.Agg, agg))
-			return
-		}
-		if v.Batch != batchID {
-			bs.failSlot(slot, fmt.Errorf("network: aggregator %d answered batch %d, expected %d", agg, v.Batch, batchID))
-			return
-		}
-		if int(v.Count) != count {
-			bs.failSlot(slot, fmt.Errorf("network: aggregator %d forwarded %d trials of batch %d, expected %d", agg, v.Count, v.Batch, count))
-			return
-		}
-		if int(v.Bits) != bs.msgBits {
-			bs.failSlot(slot, fmt.Errorf("network: aggregator %d sent %d-bit planes, the rule uses %d bits", agg, v.Bits, bs.msgBits))
-			return
-		}
-		members := bs.shards[agg]
+		v := fr.aggPlanes()
 		if int(v.Members) != len(members) {
-			bs.failSlot(slot, fmt.Errorf("network: aggregator %d forwarded %d members, the router assigns it %d", agg, v.Members, len(members)))
-			return
+			return fmt.Errorf("network: aggregator %d forwarded %d members, the router assigns it %d", agg, v.Members, len(members))
 		}
-		stride := bs.msgBits * words
+		stride := bs.msgBits * batchWords(r.count)
 		mi := 0
 		for pos, player := range members {
 			if v.Mask[pos/64]>>(pos%64)&1 == 1 {
@@ -871,93 +776,8 @@ func (bs *batchSession) readShard(slot *batchSlot, r slotRead) {
 				mi++
 			}
 		}
-		bs.shardPresent[agg] = v.Present
-		bs.shardGot[agg] = true
 	}
-}
-
-// decideBatchShards evaluates a gathered sharded batch word-parallel:
-// combine every shard's partial sums lane-wise, check the quorum, then
-// compare each lane's total against the presence-adjusted threshold —
-// the same bit-sliced comparator the flat fast path uses, fed by the
-// tree's counters instead of per-player vote words.
-//
-//dut:hotpath
-func (bs *batchSession) decideBatchShards(count, received int, verdictBits []uint64) error {
-	words := batchWords(count)
-	planes := len(bs.planes)
-	need := planes * words
-	if cap(bs.aggSums) < need {
-		bs.aggSums = make([]uint64, need)
-	}
-	acc := bs.aggSums[:need]
-	clear(acc)
-	for i := range bs.shardGot {
-		if !bs.shardGot[i] {
-			continue
-		}
-		if combineShardSums(acc, bs.shardSums[i], planes, words) {
-			return fmt.Errorf("network: aggregator %d overflowed the referee's batch counters", i)
-		}
-	}
-	if received < bs.server.minVotes {
-		return fmt.Errorf("network: quorum not met: %d of %d votes, need %d", received, bs.c.k, bs.server.minVotes)
-	}
-	t, err := bs.adjustedThreshold(received)
-	if err != nil {
-		return err
-	}
-	col := bs.planes
-	for w := 0; w < words; w++ {
-		for p := 0; p < planes; p++ {
-			col[p] = acc[p*words+w]
-		}
-		verdictBits[w] = ^atLeast(col, t)
-	}
-	if rem := count % 64; rem != 0 {
-		verdictBits[words-1] &= 1<<rem - 1
-	}
+	bs.shardPresent[agg] = fr.present
+	bs.shardGot[agg] = true
 	return nil
-}
-
-// adjustedThreshold maps the batch's presence onto the rejection- or
-// sum-threshold the flat referee's decideVotes would effectively apply
-// with received of k votes in. Absent players enter the flat decision
-// per the resolved absentee policy: Omit re-shapes the rule at the
-// smaller count (exact for every stock threshold rule — AND stays 1,
-// OR and Majority follow the count, fixed thresholds stay fixed);
-// Accept contributes zero rejections (zero value), leaving the
-// threshold alone for sums and — because the tree's counters only ever
-// count real votes — for thresholds too; Reject contributes one
-// rejection (value zero) per absentee, so the remaining votes need
-// that many fewer rejections.
-func (bs *batchSession) adjustedThreshold(received int) (int, error) {
-	k := bs.c.k
-	if bs.shapeOK {
-		if received == k {
-			return bs.shapeT, nil
-		}
-		switch core.ResolveAbsentee(bs.server.policy, bs.server.decide) {
-		case core.AbsenteeOmit:
-			t, ok := core.ThresholdShape(bs.server.decide, received)
-			if !ok {
-				return 0, fmt.Errorf("network: referee lost its threshold shape at %d votes", received)
-			}
-			return t, nil
-		case core.AbsenteeAccept:
-			return bs.shapeT, nil
-		default: // core.AbsenteeReject: each absentee is one rejection already counted for.
-			return bs.shapeT - (k - received), nil
-		}
-	}
-	if received == k {
-		return bs.sumT, nil
-	}
-	if core.ResolveAbsentee(bs.server.policy, bs.server.decide) == core.AbsenteeAccept {
-		// core.Accept is message value 1, so each absentee adds one to the
-		// flat sum; the tree's counters hold only real votes.
-		return bs.sumT - (k - received), nil
-	}
-	// Omit and Reject both contribute value zero to the sum.
-	return bs.sumT, nil
 }

@@ -31,8 +31,12 @@ import (
 // single SMP round is a batch of one. Determinism is untouched — every
 // vote derives from (shared seed, player id) whatever the batch size,
 // and the referee's per-batch evaluation reproduces decideVotes bit for
-// bit (word-parallel when the referee has threshold shape, trial by
-// trial otherwise).
+// bit. The root runs one path whatever the topology: the flat star is a
+// one-shard tree whose root reduces its own players' votes into the
+// same bit-sliced lane counters an aggregator sends upstream, and a
+// threshold- or sum-shaped referee decides from those counters,
+// word-parallel, at any presence (decideShaped). Only an opaque referee
+// is decided trial by trial.
 
 // frameQueue is an unbounded FIFO of already-encoded frames feeding one
 // slot's writer goroutine. Unbounded is deliberate: the aggregator must
@@ -174,7 +178,7 @@ type batchSession struct {
 	nodes    []*PlayerNode
 	nodeWG   sync.WaitGroup
 	// slots are the root's connections: players by id on the flat star
-	// (nil = absent), aggregators in accept order on the tree.
+	// (nil = absent), aggregators by id on the tree (nil = absent).
 	slots []*batchSlot
 
 	// readWG counts the root's outstanding slot reads.
@@ -200,7 +204,7 @@ type batchSession struct {
 
 	// Threshold shape of the referee, when it has one: reject iff at
 	// least shapeT of the k single-bit votes reject. This is what the
-	// word-parallel fast path evaluates.
+	// word-parallel decide evaluates.
 	shapeT  int
 	shapeOK bool
 
@@ -212,9 +216,11 @@ type batchSession struct {
 	sumOK bool
 
 	// Per-batch scratch: delivered vote bitsets (r plane sets) by player
-	// id, and the bit-sliced counter planes of the fast paths.
-	deliv  [][]uint64
-	planes []uint64
+	// id, one word per bit-sliced counter plane, and the batch's lane
+	// counters, plane-major.
+	deliv    [][]uint64
+	planes   []uint64
+	counters []uint64
 
 	// Aggregator-only scratch, reused across chunks. enc is the frame
 	// encode buffer (push copies bytes into the queue, so it is free
@@ -237,14 +243,13 @@ type batchSession struct {
 	// Sharded-tree state, nil/empty on the flat star. aggErr (under mu)
 	// records the first aggregator failure; shardSums/shardPresent/
 	// shardGot are the root's per-shard gather table, indexed by shard
-	// id, and aggSums the combined counter accumulator.
+	// id.
 	shards       [][]uint32
 	aggs         []*aggregator
 	aggErr       error
 	shardSums    [][]uint64
 	shardPresent []uint32
 	shardGot     []bool
-	aggSums      []uint64
 }
 
 // batchFlight is one wire batch of a chunk: its frame id and the spec
@@ -309,12 +314,7 @@ func openBatchSession(ctx context.Context, c *Cluster, l net.Listener, nodes []*
 	}
 	bs.planes = make([]uint64, planeLen)
 
-	if c.topo.enabled() {
-		err = bs.startSharded(runCtx)
-	} else {
-		err = bs.startFlat(runCtx)
-	}
-	if err != nil {
+	if err := bs.startRoot(runCtx); err != nil {
 		cancel()
 		bs.waitNodes()
 		bs.trackStop()
@@ -334,18 +334,34 @@ func openBatchSession(ctx context.Context, c *Cluster, l net.Listener, nodes []*
 	return bs, nil
 }
 
-// startFlat is the flat star's set-up: every node dials the root, which
-// accepts them by player id.
-func (bs *batchSession) startFlat(ctx context.Context) error {
-	for _, node := range bs.nodes {
-		bs.spawnNode(node, bs.listener.Addr())
+// startRoot spawns the tier below the root — on the flat star every
+// node dials the root, on the tree the aggregators and their nodes
+// (spawnShards) — then runs the root's accept phase and starts the
+// accepted slots. The flat root takes HELLOs by player id; the tree
+// root takes AGG_HELLOs by aggregator id, with the quorum over the
+// summed per-shard present counts, because one aggregator speaks for a
+// whole shard. Its accept deadline is two timeouts: a quorum
+// aggregator holds its own accept phase open for one timeout waiting
+// out stragglers before it dials upstream.
+func (bs *batchSession) startRoot(ctx context.Context) error {
+	s := bs.server
+	n, wait, shake, read := s.k, s.timeout, s.helloHandshake(s.placePlayer), bs.deliverVote
+	if bs.c.topo.enabled() {
+		if err := bs.spawnShards(ctx); err != nil {
+			return err
+		}
+		n, wait, shake, read = len(bs.shards), 2*s.timeout, bs.shakeAggregator, bs.readShard
+	} else {
+		for _, node := range bs.nodes {
+			bs.spawnNode(node, bs.listener.Addr())
+		}
 	}
-	slots, err := bs.server.acceptPlayers(ctx, bs.listener, bs.tracker)
+	slots, err := s.acceptPlayers(ctx, bs.listener, bs.tracker, n, wait, shake)
 	if err != nil {
 		return err
 	}
 	bs.slots = slots
-	bs.startSlots(slots, bs.deliverVote, &bs.readWG)
+	bs.startSlots(slots, read, &bs.readWG)
 	return nil
 }
 
@@ -785,13 +801,11 @@ func (bs *batchSession) readVotes(slot *batchSlot, batchID uint32, count int) ([
 }
 
 // decideBatch evaluates every trial of a gathered batch, filling one
-// RoundResult per trial and returning the packed verdict bits. With all
-// k votes in and a threshold-shaped (1-bit) or sum-shaped (r-bit)
-// referee it evaluates the whole batch word-parallel; otherwise
-// (partial batches, opaque referees) it reconstructs each trial's vote
-// slate from the delivered planes and reuses decideVotes, so
-// quorum checks and absentee policy are identical to the per-trial
-// referee by construction.
+// RoundResult per trial and returning the packed verdict bits. A
+// threshold-shaped (1-bit) or sum-shaped (r-bit) referee decides the
+// whole batch word-parallel at any presence (decideShaped). An opaque
+// referee is decided trial by trial: each trial's vote slate is rebuilt
+// from the delivered planes and handed to decideVotes.
 func (bs *batchSession) decideBatch(count, received int, out []engine.RoundResult) ([]uint64, error) {
 	words := batchWords(count)
 	if cap(bs.verdictBits) < words {
@@ -800,11 +814,8 @@ func (bs *batchSession) decideBatch(count, received int, out []engine.RoundResul
 	verdictBits := bs.verdictBits[:words]
 	clear(verdictBits)
 	k := bs.c.k
-	if bs.sharded() && (bs.shapeOK || bs.sumOK) {
-		// Shaped sharded batches decide from the combined partial sums at
-		// any presence: the adjusted threshold reproduces decideVotes'
-		// absentee accounting exactly, so no per-trial fallback is needed.
-		if err := bs.decideBatchShards(count, received, verdictBits); err != nil {
+	if bs.shapeOK || bs.sumOK {
+		if err := bs.decideShaped(count, received, verdictBits); err != nil {
 			return nil, err
 		}
 		for j := range out {
@@ -814,22 +825,6 @@ func (bs *batchSession) decideBatch(count, received int, out []engine.RoundResul
 				Stragglers: k - received,
 				Messages:   received,
 				Samples:    received * bs.c.q,
-			}
-		}
-		return verdictBits, nil
-	}
-	if received == k && (bs.shapeOK || bs.sumOK) {
-		if bs.shapeOK {
-			bs.decideBatchThreshold(count, verdictBits)
-		} else {
-			bs.decideBatchSum(count, verdictBits)
-		}
-		for j := range out {
-			out[j] = engine.RoundResult{
-				Verdict:  verdictBits[j/64]>>(j%64)&1 == 1,
-				Votes:    k,
-				Messages: k,
-				Samples:  k * bs.c.q,
 			}
 		}
 		return verdictBits, nil
@@ -869,67 +864,120 @@ func (bs *batchSession) decideBatch(count, received int, out []engine.RoundResul
 	return verdictBits, nil
 }
 
-// decideBatchThreshold evaluates "reject iff at least shapeT of k
-// rejections" for 64 trials per word: the rejection count of every lane
-// is accumulated into bit-sliced counter planes by ripple-carry
-// addition of each player's inverted vote word, then compared against
-// the threshold in one pass. Padding lanes above count are masked off
-// so the verdict bitset stays wire-legal.
+// decideShaped evaluates a gathered batch word-parallel: take the
+// batch's bit-sliced lane counters (laneCounters), check the quorum,
+// then compare each lane's total against the presence-adjusted
+// threshold. Padding lanes above count are masked off so the verdict
+// bitset stays wire-legal.
 //
 //dut:hotpath
-func (bs *batchSession) decideBatchThreshold(count int, verdictBits []uint64) {
-	planes := bs.planes
-	for w := range verdictBits {
-		for i := range planes {
-			planes[i] = 0
+func (bs *batchSession) decideShaped(count, received int, verdictBits []uint64) error {
+	acc, err := bs.laneCounters(count)
+	if err != nil {
+		return err
+	}
+	if received < bs.server.minVotes {
+		return fmt.Errorf("network: quorum not met: %d of %d votes, need %d", received, bs.c.k, bs.server.minVotes)
+	}
+	t, err := bs.adjustedThreshold(received)
+	if err != nil {
+		return err
+	}
+	words := batchWords(count)
+	col := bs.planes
+	for w := 0; w < words; w++ {
+		for p := range col {
+			col[p] = acc[p*words+w]
 		}
-		for _, d := range bs.deliv {
-			carry := ^d[w] // 1 = rejection
-			for i := 0; i < len(planes) && carry != 0; i++ {
-				next := planes[i] & carry
-				planes[i] ^= carry
-				carry = next
-			}
-		}
-		verdictBits[w] = ^atLeast(planes, bs.shapeT)
+		verdictBits[w] = ^atLeast(col, t)
 	}
 	if rem := count % 64; rem != 0 {
-		verdictBits[len(verdictBits)-1] &= 1<<rem - 1
+		verdictBits[words-1] &= 1<<rem - 1
 	}
+	return nil
 }
 
-// decideBatchSum evaluates "reject iff the k r-bit values sum to at
-// least sumT" for 64 trials per word: each player's value planes are
-// accumulated into the bit-sliced counter planes by ripple-carry
-// addition starting at plane b (adding 2^b per set lane of message
-// plane b), then every lane's sum is compared against the threshold in
-// one pass — the r-bit counterpart of decideBatchThreshold. Padding
-// lanes above count are masked off so the verdict bitset stays
-// wire-legal.
+// adjustedThreshold maps the batch's presence onto the rejection- or
+// sum-threshold the per-trial decideVotes would effectively apply with
+// received of k votes in. Absent players enter the per-trial decision
+// per the resolved absentee policy: Omit re-shapes the rule at the
+// smaller count (exact for every stock threshold rule — AND stays 1,
+// OR and Majority follow the count, fixed thresholds stay fixed);
+// Accept contributes zero rejections (zero value), leaving the
+// threshold alone for sums and — because the lane counters only ever
+// count real votes — for thresholds too; Reject contributes one
+// rejection (value zero) per absentee, so the remaining votes need
+// that many fewer rejections.
+func (bs *batchSession) adjustedThreshold(received int) (int, error) {
+	k := bs.c.k
+	if bs.shapeOK {
+		if received == k {
+			return bs.shapeT, nil
+		}
+		switch core.ResolveAbsentee(bs.server.policy, bs.server.decide) {
+		case core.AbsenteeOmit:
+			t, ok := core.ThresholdShape(bs.server.decide, received)
+			if !ok {
+				return 0, fmt.Errorf("network: referee lost its threshold shape at %d votes", received)
+			}
+			return t, nil
+		case core.AbsenteeAccept:
+			return bs.shapeT, nil
+		default: // core.AbsenteeReject: each absentee is one rejection already counted for.
+			return bs.shapeT - (k - received), nil
+		}
+	}
+	if received == k {
+		return bs.sumT, nil
+	}
+	if core.ResolveAbsentee(bs.server.policy, bs.server.decide) == core.AbsenteeAccept {
+		// core.Accept is message value 1, so each absentee adds one to the
+		// per-trial sum; the lane counters hold only real votes.
+		return bs.sumT - (k - received), nil
+	}
+	// Omit and Reject both contribute value zero to the sum.
+	return bs.sumT, nil
+}
+
+// laneCounters returns the batch's per-lane rejection counts (threshold
+// shape) or value sums (sum shape) as bit-sliced counter planes,
+// plane-major. The flat root is a one-shard tree: it reduces its own
+// delivery table exactly as an aggregator reduces its shard. The tree
+// root adds its aggregators' partial sums lane-wise.
+func (bs *batchSession) laneCounters(count int) ([]uint64, error) {
+	if !bs.sharded() {
+		return bs.reduceShard(bs.deliv, count, bs.planes, &bs.counters), nil
+	}
+	words := batchWords(count)
+	planes := len(bs.planes)
+	acc := grow(bs.counters, planes*words)
+	bs.counters = acc
+	clear(acc)
+	for i, got := range bs.shardGot {
+		if got && combineShardSums(acc, bs.shardSums[i], planes, words) {
+			return nil, fmt.Errorf("network: aggregator %d overflowed the referee's batch counters", i)
+		}
+	}
+	return acc, nil
+}
+
+// reduceShard reduces one batch's delivered plane sets (nil = absent)
+// into bit-sliced counter planes, plane-major in *sums, which grows to
+// fit: per-lane rejection counts for a threshold-shaped referee, value
+// sums for a sum-shaped one. col is the per-word scratch, one word per
+// counter plane.
 //
 //dut:hotpath
-func (bs *batchSession) decideBatchSum(count int, verdictBits []uint64) {
-	planes := bs.planes
+func (bs *batchSession) reduceShard(deliv [][]uint64, count int, col []uint64, sums *[]uint64) []uint64 {
 	words := batchWords(count)
-	for w := range verdictBits {
-		for i := range planes {
-			planes[i] = 0
-		}
-		for _, d := range bs.deliv {
-			for b := 0; b < bs.msgBits; b++ {
-				carry := d[b*words+w]
-				for i := b; i < len(planes) && carry != 0; i++ {
-					next := planes[i] & carry
-					planes[i] ^= carry
-					carry = next
-				}
-			}
-		}
-		verdictBits[w] = ^atLeast(planes, bs.sumT)
+	s := grow(*sums, len(col)*words)
+	*sums = s
+	if bs.shapeOK {
+		reduceThresholdSums(deliv, count, words, col, s)
+	} else {
+		reduceValueSums(deliv, bs.msgBits, words, col, s)
 	}
-	if rem := count % 64; rem != 0 {
-		verdictBits[len(verdictBits)-1] &= 1<<rem - 1
-	}
+	return s
 }
 
 // atLeast returns a word with bit j set iff lane j's bit-sliced counter

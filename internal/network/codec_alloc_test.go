@@ -127,7 +127,11 @@ func TestVoteCodecZeroAllocs(t *testing.T) {
 // aggregators' relay and reduce on the tree. Every goroutine of the
 // session counts, and every frame keeps its real deadline; none of it
 // may allocate once the session's scratch, buffers and timers are warm.
-// Skipped under the race detector, whose instrumentation allocates.
+// The quorum cases keep two players out of the session (each drops its
+// one dial) under every absentee policy: a batch with absentees is
+// decided by the same word-parallel decide, flat or tree, and is just
+// as clean. Skipped under the race detector, whose instrumentation
+// allocates.
 func TestSessionBatchZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -141,21 +145,47 @@ func TestSessionBatchZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	sampler := uniformSampler(t, n)
-	for _, tc := range []struct {
+	type testCase struct {
 		name   string
 		shards int
+		quorum bool
+		policy core.AbsenteePolicy
+	}
+	cases := []testCase{{"flat", 0, false, 0}, {"tree-2", 2, false, 0}}
+	for _, pol := range []struct {
+		name   string
+		policy core.AbsenteePolicy
 	}{
-		{"flat", 0},
-		{"tree-2", 2},
+		{"accept", core.AbsenteeAccept},
+		{"reject", core.AbsenteeReject},
+		{"omit", core.AbsenteeOmit},
 	} {
+		cases = append(cases,
+			testCase{"flat-quorum-" + pol.name, 0, true, pol.policy},
+			testCase{"tree-2-quorum-" + pol.name, 2, true, pol.policy})
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := NewCluster(ClusterConfig{
+			cfg := ClusterConfig{
 				K: k, Q: q,
 				Rule:    tester.Local(),
 				Referee: tester.RefereeFunc(),
 				Timeout: 10 * time.Second,
 				Shards:  tc.shards,
-			})
+			}
+			if tc.quorum {
+				// The accept phase waits out the absentees for one timeout.
+				ft, err := NewFaultTransport(NewMemTransport(), FaultConfig{Plans: map[uint32]FaultPlan{
+					5:  {DropDials: 1},
+					40: {DropDials: 1},
+				}})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Transport, cfg.Timeout, cfg.DialRetries = ft, time.Second, -1
+				cfg.MinVotes, cfg.Absentees = k-4, tc.policy
+			}
+			c, err := NewCluster(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,6 +211,9 @@ func TestSessionBatchZeroAllocs(t *testing.T) {
 			}
 			for range 3 {
 				step() // grows every scratch, buffer and timer the batch touches
+			}
+			if tc.quorum && (out[0].Votes != k-2 || out[0].Stragglers != 2) {
+				t.Fatalf("quorum batch counted %d votes, %d stragglers; want %d, 2", out[0].Votes, out[0].Stragglers, k-2)
 			}
 			if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
 				t.Errorf("one settled %d-trial batch allocates %.1f, want 0", batch, allocs)

@@ -92,7 +92,7 @@ func FormatFrameCounts(m map[FrameType]uint64) string {
 // window) still count one tally per frame, not per syscall.
 //
 // Tier attribution uses creation order: the first listener is the
-// root's (newBatchSession listens before startSharded builds the
+// root's (newBatchSession listens before spawnShards builds the
 // aggregator tier), every later listener an
 // aggregator's. That holds for a single engine worker — the netdemo and
 // fan-out tests run with Workers 1 — and for every direct RunMany*

@@ -19,7 +19,11 @@
 // The same frames carry up to MaxBatchTrials trials at once, and the
 // session closes with FINISH. With ClusterConfig.Shards the referee
 // becomes a two-tier tree whose aggregators reduce their shard's votes
-// before they reach the root; verdicts are bit-identical either way.
+// before they reach the root. The flat star is the same computation
+// with a single shard held in process: its root reduces its own
+// players' votes into the same bit-sliced lane counters an aggregator
+// sends upstream, and both roots decide from those counters with one
+// word-parallel decide, so verdicts are bit-identical either way.
 //
 // Cluster wires the pieces together and implements core.Protocol, so a
 // networked deployment can be dropped into the same experiment harness as

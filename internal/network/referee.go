@@ -180,31 +180,50 @@ func (s *RefereeServer) placePlayer(h Hello, slots []*batchSlot) (int, error) {
 	return int(h.Player), nil
 }
 
-// acceptSlots runs an accept/HELLO phase for n expected players. In
-// strict mode it blocks until all n have registered (or the listener or
-// context dies). In quorum mode the whole phase is bounded by an accept
-// deadline of one timeout, after which it ends with whoever registered;
-// the caller checks the quorum. place validates a HELLO against the
-// slots registered so far and returns the player's slot index; a
-// connection whose HELLO fails aborts the phase in strict mode and is
-// dropped in quorum mode. It returns the slots (nil = absent) and how
-// many are present.
+// handshake reads one accepted connection's hello and places it
+// against the slots registered so far. It returns the slot index, the
+// id the slot speaks for (a player id, or an aggregator id at the
+// tree's root) and how many players the slot brings.
+type handshake func(conn net.Conn, slots []*batchSlot) (idx int, id uint32, present int, err error)
+
+// helloHandshake is the player tiers' handshake: one HELLO, placed by
+// place (placePlayer at the flat root, placeMember at an aggregator).
+func (s *RefereeServer) helloHandshake(place func(Hello, []*batchSlot) (int, error)) handshake {
+	return func(conn net.Conn, slots []*batchSlot) (int, uint32, int, error) {
+		setDeadline(conn, s.timeout)
+		h, err := expectFrame[Hello](conn, FrameHello)
+		if err != nil {
+			return 0, 0, 0, fmt.Errorf("network: hello: %w", err)
+		}
+		i, err := place(h, slots)
+		return i, h.Player, 1, err
+	}
+}
+
+// acceptSlots runs an accept phase for n expected slots. In strict mode
+// it blocks until all n have registered (or the listener or context
+// dies). In quorum mode the whole phase is bounded by an accept deadline
+// of wait, after which it ends with whoever registered; the caller
+// checks the quorum. shake reads each connection's hello under a frame
+// deadline and places it; a connection whose handshake fails aborts the
+// phase in strict mode and is dropped in quorum mode. It returns the
+// slots (nil = absent) and how many players they bring.
 //
 //dut:coldpath once-per-session accept and handshake validation
 func (s *RefereeServer) acceptSlots(ctx context.Context, l net.Listener, tr *connTracker, n int,
-	place func(Hello, []*batchSlot) (int, error)) ([]*batchSlot, int, error) {
+	wait time.Duration, shake handshake) ([]*batchSlot, int, error) {
 	if !s.strict() {
 		dl, ok := l.(acceptDeadliner)
 		if !ok {
 			return nil, 0, fmt.Errorf("network: quorum mode needs a listener with accept deadlines (have %T)", l)
 		}
 		//lint:ignore dut/nondeterminism net deadlines need an absolute instant; bounds the accept wait, never the verdict
-		_ = dl.SetDeadline(time.Now().Add(s.timeout))
+		_ = dl.SetDeadline(time.Now().Add(wait))
 		defer func() { _ = dl.SetDeadline(time.Time{}) }()
 	}
 	slots := make([]*batchSlot, n)
-	present := 0
-	for present < n {
+	filled, present := 0, 0
+	for filled < n {
 		if err := ctx.Err(); err != nil {
 			return nil, 0, err
 		}
@@ -216,16 +235,7 @@ func (s *RefereeServer) acceptSlots(ctx context.Context, l net.Listener, tr *con
 			return nil, 0, fmt.Errorf("network: accept: %w", err)
 		}
 		tr.track(conn)
-		setDeadline(conn, s.timeout)
-		hello, err := expectFrame[Hello](conn, FrameHello)
-		if err != nil {
-			if s.strict() {
-				return nil, 0, fmt.Errorf("network: hello: %w", err)
-			}
-			_ = conn.Close()
-			continue
-		}
-		i, err := place(hello, slots)
+		i, id, p, err := shake(conn, slots)
 		if err != nil {
 			if s.strict() {
 				return nil, 0, err
@@ -233,17 +243,20 @@ func (s *RefereeServer) acceptSlots(ctx context.Context, l net.Listener, tr *con
 			_ = conn.Close()
 			continue
 		}
-		slots[i] = newBatchSlot(conn, hello.Player)
-		present++
+		slots[i] = newBatchSlot(conn, id)
+		filled++
+		present += p
 	}
 	return slots, present, nil
 }
 
-// acceptPlayers is the flat root's accept phase: slots indexed by
-// player id, and in quorum mode at least minVotes of the k players
-// present once the accept deadline passes.
-func (s *RefereeServer) acceptPlayers(ctx context.Context, l net.Listener, tr *connTracker) ([]*batchSlot, error) {
-	slots, present, err := s.acceptSlots(ctx, l, tr, s.k, s.placePlayer)
+// acceptPlayers is a root's accept phase, acceptSlots plus the quorum:
+// in quorum mode at least minVotes of the k players must be present
+// once the accept deadline passes, whether each slot is a player or an
+// aggregator bringing its shard's present count.
+func (s *RefereeServer) acceptPlayers(ctx context.Context, l net.Listener, tr *connTracker, n int,
+	wait time.Duration, shake handshake) ([]*batchSlot, error) {
+	slots, present, err := s.acceptSlots(ctx, l, tr, n, wait, shake)
 	if err != nil {
 		return nil, err
 	}

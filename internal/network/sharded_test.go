@@ -184,10 +184,22 @@ func TestShardedMatchesFlat(t *testing.T) {
 	}
 }
 
+// opaqueReferee hides a referee's threshold or sum shape, so the batch
+// session decides it trial by trial through decideVotes: the reference
+// the word-parallel decide is checked against, independent of the lane
+// counters and adjustedThreshold. It keeps the referee's absentee
+// advice.
+type opaqueReferee struct{ core.Referee }
+
+func (o opaqueReferee) Absentee() core.AbsenteePolicy {
+	return core.ResolveAbsentee(core.AbsenteeDefault, o.Referee)
+}
+
 // TestShardedAbsenteePoliciesMatchFlat drives quorum rounds with two
 // players that never connect, under every absentee policy and both
-// decidable shapes: the tree's presence-adjusted thresholds must
-// reproduce the flat referee's absentee accounting exactly.
+// decidable shapes: the presence-adjusted thresholds of the flat star
+// and the tree must reproduce the per-trial referee's absentee
+// accounting exactly.
 func TestShardedAbsenteePoliciesMatchFlat(t *testing.T) {
 	const k, trials = 12, 4
 	referees := []struct {
@@ -217,7 +229,7 @@ func TestShardedAbsenteePoliciesMatchFlat(t *testing.T) {
 		for _, pol := range policies {
 			t.Run(ref.name+"/"+pol.name, func(t *testing.T) {
 				t.Parallel()
-				cluster := func(s int) *Cluster {
+				cluster := func(s int, referee core.Referee) *Cluster {
 					ft, err := NewFaultTransport(NewMemTransport(), FaultConfig{Plans: absent()})
 					if err != nil {
 						t.Fatal(err)
@@ -225,7 +237,7 @@ func TestShardedAbsenteePoliciesMatchFlat(t *testing.T) {
 					c, err := NewCluster(ClusterConfig{
 						K: k, Q: 2,
 						Rule:        ref.rule,
-						Referee:     ref.referee,
+						Referee:     referee,
 						Transport:   ft,
 						Timeout:     250 * time.Millisecond,
 						MinVotes:    8,
@@ -239,14 +251,14 @@ func TestShardedAbsenteePoliciesMatchFlat(t *testing.T) {
 					return c
 				}
 				sampler := uniformSampler(t, 16)
-				want := treeResults(t, treeBackend(t, cluster(0)), sampler, trials, 3, 2)
+				want := treeResults(t, treeBackend(t, cluster(0, opaqueReferee{ref.referee})), sampler, trials, 3, 2)
 				for _, r := range want {
 					if r.stragglers != 2 || r.votes != k-2 {
-						t.Fatalf("flat run counted %+v, want 2 stragglers of %d players", r, k)
+						t.Fatalf("per-trial flat run counted %+v, want 2 stragglers of %d players", r, k)
 					}
 				}
-				for _, s := range []int{2, 4} {
-					got := treeResults(t, treeBackend(t, cluster(s)), sampler, trials, 3, 2)
+				for _, s := range []int{0, 2, 4} {
+					got := treeResults(t, treeBackend(t, cluster(s, ref.referee)), sampler, trials, 3, 2)
 					assertSameResults(t, fmt.Sprintf("s=%d", s), want, got)
 				}
 			})
@@ -257,7 +269,8 @@ func TestShardedAbsenteePoliciesMatchFlat(t *testing.T) {
 // TestShardedKillAggregatorEqualsShardAbsent is the failure-domain
 // contract: crashing one aggregator mid-session yields the same
 // verdicts and RoundStats as every player of its shard crashing at the
-// same round — on the tree and on the flat star alike.
+// same round — on the tree and on the flat star alike, and both agree
+// with the flat star deciding trial by trial.
 func TestShardedKillAggregatorEqualsShardAbsent(t *testing.T) {
 	const (
 		k      = 8
@@ -265,7 +278,8 @@ func TestShardedKillAggregatorEqualsShardAbsent(t *testing.T) {
 		rounds = 6
 		crash  = 4 // 1-based round of the first missing vote
 	)
-	run := func(t *testing.T, s int, cfg FaultConfig) ([]bool, []RoundStats) {
+	referee := core.BitReferee{Rule: core.ThresholdRule{T: 3}}
+	run := func(t *testing.T, s int, referee core.Referee, cfg FaultConfig) ([]bool, []RoundStats) {
 		t.Helper()
 		ft, err := NewFaultTransport(NewMemTransport(), cfg)
 		if err != nil {
@@ -274,7 +288,7 @@ func TestShardedKillAggregatorEqualsShardAbsent(t *testing.T) {
 		c, err := NewCluster(ClusterConfig{
 			K: k, Q: 2,
 			Rule:      parityRule(),
-			Referee:   core.BitReferee{Rule: core.ThresholdRule{T: 3}},
+			Referee:   referee,
 			Transport: ft,
 			Timeout:   500 * time.Millisecond,
 			MinVotes:  2,
@@ -297,11 +311,12 @@ func TestShardedKillAggregatorEqualsShardAbsent(t *testing.T) {
 		}
 		return plans
 	}
-	aggVerdicts, aggStats := run(t, shards, FaultConfig{
+	aggVerdicts, aggStats := run(t, shards, referee, FaultConfig{
 		AggPlans: map[uint32]FaultPlan{1: {CrashAtRound: crash}},
 	})
-	treeVerdicts, treeStats := run(t, shards, FaultConfig{Plans: shardPlans()})
-	flatVerdicts, flatStats := run(t, 0, FaultConfig{Plans: shardPlans()})
+	treeVerdicts, treeStats := run(t, shards, referee, FaultConfig{Plans: shardPlans()})
+	shapedVerdicts, shapedStats := run(t, 0, referee, FaultConfig{Plans: shardPlans()})
+	flatVerdicts, flatStats := run(t, 0, opaqueReferee{referee}, FaultConfig{Plans: shardPlans()})
 
 	check := func(name string, verdicts []bool, stats []RoundStats) {
 		t.Helper()
@@ -317,6 +332,7 @@ func TestShardedKillAggregatorEqualsShardAbsent(t *testing.T) {
 	}
 	check("killed aggregator", aggVerdicts, aggStats)
 	check("killed shard", treeVerdicts, treeStats)
+	check("flat killed shard", shapedVerdicts, shapedStats)
 	// And the baseline itself is what the plan says: full house before
 	// the crash round, half the players gone from it onward.
 	for i, s := range flatStats {
@@ -659,9 +675,12 @@ func TestShardedReduceZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestShardedDecideZeroAllocs drives decideBatchShards — the root's
-// whole per-batch decision — over a synthetic session and demands zero
-// allocations once its scratch is warm.
+// TestShardedDecideZeroAllocs drives decideShaped — the root's whole
+// per-batch shaped decision — over synthetic sessions and demands zero
+// allocations once its scratch is warm: the tree root combining its
+// shards' partial sums, and the flat root, a one-shard tree, reducing
+// its own delivery table. Both run at full presence and with
+// absentees under quorum.
 func TestShardedDecideZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -670,6 +689,7 @@ func TestShardedDecideZeroAllocs(t *testing.T) {
 		k      = 128
 		shards = 4
 		count  = 256
+		absent = 8
 	)
 	referee := core.BitReferee{Rule: core.ThresholdRule{T: 40}}
 	server, err := NewRefereeServer(k, referee, time.Second, WithMinVotes(100))
@@ -678,47 +698,65 @@ func TestShardedDecideZeroAllocs(t *testing.T) {
 	}
 	words := batchWords(count)
 	planeCount := bits.Len(uint(k))
-	bs := &batchSession{
-		c:            &Cluster{k: k},
-		server:       server,
-		planes:       make([]uint64, planeCount),
-		shardGot:     make([]bool, shards),
-		shardSums:    make([][]uint64, shards),
-		shardPresent: make([]uint32, shards),
+	session := func() *batchSession {
+		bs := &batchSession{c: &Cluster{k: k}, server: server, planes: make([]uint64, planeCount)}
+		bs.shapeT, bs.shapeOK = core.ThresholdShape(referee, k)
+		if !bs.shapeOK {
+			t.Fatal("threshold referee lost its shape")
+		}
+		return bs
 	}
-	bs.shapeT, bs.shapeOK = core.ThresholdShape(referee, k)
-	if !bs.shapeOK {
-		t.Fatal("threshold referee lost its shape")
-	}
-	for i := range bs.shardSums {
-		bs.shardGot[i] = true
-		bs.shardPresent[i] = k / shards
+	tree := session()
+	tree.aggs = make([]*aggregator, shards)
+	tree.shardGot = make([]bool, shards)
+	tree.shardSums = make([][]uint64, shards)
+	tree.shardPresent = make([]uint32, shards)
+	for i := range tree.shardSums {
+		tree.shardGot[i] = true
+		tree.shardPresent[i] = k / shards
 		sums := make([]uint64, planeCount*words)
 		for j := 0; j < words; j++ {
 			sums[j] = 0x5555555555555555 // plane 0: 1 rejection per shard per lane
 		}
-		bs.shardSums[i] = sums
+		tree.shardSums[i] = sums
 	}
+	flat := session()
+	votes := make([][]uint64, k)
+	for i := range votes {
+		votes[i] = make([]uint64, words)
+		for j := range votes[i] {
+			votes[i][j] = 0xdeadbeefcafef00d * uint64(i+j+1)
+		}
+	}
+	flat.deliv = make([][]uint64, k)
 	verdictBits := make([]uint64, words)
-	// Warm run grows aggSums once; after that the decision is pure
-	// arithmetic on the session's scratch.
-	if err := bs.decideBatchShards(count, k, verdictBits); err != nil {
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(100, func() {
-		if err := bs.decideBatchShards(count, k, verdictBits); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("decideBatchShards allocates %.1f per run", n)
-	}
-	// The presence-adjusted path (absentees under quorum) is just as
-	// clean.
-	if n := testing.AllocsPerRun(100, func() {
-		if err := bs.decideBatchShards(count, k-8, verdictBits); err != nil {
-			t.Fatal(err)
-		}
-	}); n != 0 {
-		t.Errorf("decideBatchShards with absentees allocates %.1f per run", n)
+	for _, tc := range []struct {
+		name    string
+		bs      *batchSession
+		present func(received int) // lays out received delivered votes
+	}{
+		{"tree", tree, func(int) {}},
+		{"flat", flat, func(received int) {
+			clear(flat.deliv)
+			copy(flat.deliv[k-received:], votes[k-received:])
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, received := range []int{k, k - absent} {
+				tc.present(received)
+				// The warm run grows the lane counters once; after that the
+				// decision is pure arithmetic on the session's scratch.
+				if err := tc.bs.decideShaped(count, received, verdictBits); err != nil {
+					t.Fatal(err)
+				}
+				if n := testing.AllocsPerRun(100, func() {
+					if err := tc.bs.decideShaped(count, received, verdictBits); err != nil {
+						t.Fatal(err)
+					}
+				}); n != 0 {
+					t.Errorf("decideShaped with %d of %d votes allocates %.1f per run", received, k, n)
+				}
+			}
+		})
 	}
 }

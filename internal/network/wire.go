@@ -544,17 +544,11 @@ func writeCoalesced(w io.Writer, run []byte) error {
 
 // WriteRoundBatch sends a ROUND_BATCH frame.
 func WriteRoundBatch(w io.Writer, r RoundBatch) error {
-	count := len(r.Seeds)
-	if count < 1 || count > MaxBatchTrials {
-		return fmt.Errorf("network: ROUND_BATCH with %d trials, want 1..%d", count, MaxBatchTrials)
+	buf, err := AppendRoundBatch(nil, r)
+	if err != nil {
+		return err
 	}
-	p := make([]byte, 8+8*count)
-	binary.BigEndian.PutUint32(p[0:4], r.Batch)
-	binary.BigEndian.PutUint32(p[4:8], uint32(count))
-	for i, seed := range r.Seeds {
-		binary.BigEndian.PutUint64(p[8+8*i:], seed)
-	}
-	return writeFrame(w, FrameRoundBatch, p)
+	return writeCoalesced(w, buf)
 }
 
 // WriteVoteBatch sends a VOTE_BATCH frame; the bitset is validated
@@ -618,16 +612,11 @@ func AppendVoteBatchR(buf []byte, v VoteBatchR) ([]byte, error) {
 // WriteVerdictBatch sends a VERDICT_BATCH frame, validated like
 // WriteVoteBatch.
 func WriteVerdictBatch(w io.Writer, v VerdictBatch) error {
-	if err := checkBatchBits(FrameVerdictBatch, int(v.Count), v.Bits); err != nil {
+	buf, err := AppendVerdictBatch(nil, v)
+	if err != nil {
 		return err
 	}
-	p := make([]byte, 8+8*len(v.Bits))
-	binary.BigEndian.PutUint32(p[0:4], v.Batch)
-	binary.BigEndian.PutUint32(p[4:8], v.Count)
-	for i, word := range v.Bits {
-		binary.BigEndian.PutUint64(p[8+8*i:], word)
-	}
-	return writeFrame(w, FrameVerdictBatch, p)
+	return writeCoalesced(w, buf)
 }
 
 // WriteAggHello sends an AGG_HELLO frame, validated before any byte
@@ -650,67 +639,31 @@ func WriteAggHello(w io.Writer, h AggHello) error {
 // WriteAggSum sends an AGG_SUM frame, validated like WriteVoteBatchR:
 // an invalid reduction never reaches the wire.
 func WriteAggSum(w io.Writer, v AggSum) error {
-	if err := checkAggSum(v); err != nil {
+	buf, err := AppendAggSum(nil, v)
+	if err != nil {
 		return err
 	}
-	p := make([]byte, 18+8*len(v.Sums))
-	binary.BigEndian.PutUint32(p[0:4], v.Agg)
-	binary.BigEndian.PutUint32(p[4:8], v.Batch)
-	binary.BigEndian.PutUint32(p[8:12], v.Count)
-	p[12] = v.Bits
-	p[13] = v.Planes
-	binary.BigEndian.PutUint32(p[14:18], v.Present)
-	for i, word := range v.Sums {
-		binary.BigEndian.PutUint64(p[18+8*i:], word)
-	}
-	return writeFrame(w, FrameAggSum, p)
+	return writeCoalesced(w, buf)
 }
 
 // WriteAggPlanes sends an AGG_PLANES frame, validated like
 // WriteAggSum.
 func WriteAggPlanes(w io.Writer, v AggPlanes) error {
-	if err := checkAggPlanes(v); err != nil {
+	buf, err := AppendAggPlanes(nil, v)
+	if err != nil {
 		return err
 	}
-	p := make([]byte, 21+8*(len(v.Mask)+len(v.Planes)))
-	binary.BigEndian.PutUint32(p[0:4], v.Agg)
-	binary.BigEndian.PutUint32(p[4:8], v.Batch)
-	binary.BigEndian.PutUint32(p[8:12], v.Count)
-	p[12] = v.Bits
-	binary.BigEndian.PutUint32(p[13:17], v.Members)
-	binary.BigEndian.PutUint32(p[17:21], v.Present)
-	off := 21
-	for _, word := range v.Mask {
-		binary.BigEndian.PutUint64(p[off:], word)
-		off += 8
-	}
-	for _, word := range v.Planes {
-		binary.BigEndian.PutUint64(p[off:], word)
-		off += 8
-	}
-	return writeFrame(w, FrameAggPlanes, p)
+	return writeCoalesced(w, buf)
 }
 
 // WriteAggVerdict sends an AGG_VERDICT frame, validated like
 // WriteVerdictBatch: an invalid verdict never reaches the wire.
 func WriteAggVerdict(w io.Writer, v AggVerdict) error {
-	if err := checkAggVerdict(v); err != nil {
+	buf, err := AppendAggVerdict(nil, v)
+	if err != nil {
 		return err
 	}
-	p := make([]byte, 12+4*len(v.Present)+8*len(v.Bits))
-	binary.BigEndian.PutUint32(p[0:4], v.Batch)
-	binary.BigEndian.PutUint32(p[4:8], v.Count)
-	binary.BigEndian.PutUint32(p[8:12], uint32(len(v.Present)))
-	off := 12
-	for _, n := range v.Present {
-		binary.BigEndian.PutUint32(p[off:], n)
-		off += 4
-	}
-	for _, word := range v.Bits {
-		binary.BigEndian.PutUint64(p[off:], word)
-		off += 8
-	}
-	return writeFrame(w, FrameAggVerdict, p)
+	return writeCoalesced(w, buf)
 }
 
 // AppendAggVerdict appends one encoded AGG_VERDICT frame to buf,

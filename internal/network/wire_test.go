@@ -3,6 +3,7 @@ package network
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"io"
 	"reflect"
 	"strings"
@@ -190,5 +191,57 @@ func TestFrameTypeString(t *testing.T) {
 	}
 	if !strings.Contains(FrameType(77).String(), "77") {
 		t.Error("unknown frame name wrong")
+	}
+}
+
+// TestFrameEncodingsGolden pins the bytes of every frame that has both a
+// Write* sender and an Append* encoder. Each sender is the encoder plus
+// one write, so both must produce exactly these bytes.
+func TestFrameEncodingsGolden(t *testing.T) {
+	cases := []struct {
+		frame any
+		hex   string
+	}{
+		{RoundBatch{Batch: 7, Seeds: []uint64{1, 0xdeadbeefcafef00d}},
+			"d07a01060000001800000007000000020000000000000001deadbeefcafef00d"},
+		{VerdictBatch{Batch: 9, Count: 70, Bits: []uint64{0x8000000000000001, 0x2a}},
+			"d07a01080000001800000009000000468000000000000001000000000000002a"},
+		{AggSum{Agg: 2, Batch: 9, Count: 3, Bits: 2, Planes: 2, Present: 5, Sums: []uint64{5, 3}},
+			"d07a010b0000002200000002000000090000000302020000000500000000000000050000000000000003"},
+		{AggPlanes{Agg: 1, Batch: 9, Count: 3, Bits: 2, Members: 3, Present: 2, Mask: []uint64{0b101}, Planes: []uint64{1, 2, 3, 4}},
+			"d07a010c0000003d00000001000000090000000302000000030000000200000000000000050000000000000001000000000000000200000000000000030000000000000004"},
+		{AggVerdict{Batch: 9, Count: 3, Present: []uint32{4, 0, 2}, Bits: []uint64{0b110}},
+			"d07a010d000000200000000900000003000000030000000400000000000000020000000000000006"},
+	}
+	for _, tc := range cases {
+		var buf bytes.Buffer
+		var enc []byte
+		var werr, aerr error
+		switch f := tc.frame.(type) {
+		case RoundBatch:
+			werr = WriteRoundBatch(&buf, f)
+			enc, aerr = AppendRoundBatch(nil, f)
+		case VerdictBatch:
+			werr = WriteVerdictBatch(&buf, f)
+			enc, aerr = AppendVerdictBatch(nil, f)
+		case AggSum:
+			werr = WriteAggSum(&buf, f)
+			enc, aerr = AppendAggSum(nil, f)
+		case AggPlanes:
+			werr = WriteAggPlanes(&buf, f)
+			enc, aerr = AppendAggPlanes(nil, f)
+		case AggVerdict:
+			werr = WriteAggVerdict(&buf, f)
+			enc, aerr = AppendAggVerdict(nil, f)
+		}
+		if werr != nil || aerr != nil {
+			t.Fatalf("%T: write: %v, append: %v", tc.frame, werr, aerr)
+		}
+		if got := hex.EncodeToString(buf.Bytes()); got != tc.hex {
+			t.Errorf("%T: Write* encodes %s, want %s", tc.frame, got, tc.hex)
+		}
+		if got := hex.EncodeToString(enc); got != tc.hex {
+			t.Errorf("%T: Append* encodes %s, want %s", tc.frame, got, tc.hex)
+		}
 	}
 }
